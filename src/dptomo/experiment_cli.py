@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .gaussian_posterior import GaussianPosterior, bayes_update, init_prior, moments
@@ -215,6 +216,8 @@ class SelectionTrace:
     exhausted: bool
     initial_variance: float
     initial_shear_iterations: int
+    initial_shear_hit_cap: bool
+    initial_shear_max_p: float
 
 
 @dataclass
@@ -232,15 +235,9 @@ class EstimatorReport:
 # ---------------------------------------------------------------------------
 # truth projection and distances
 
-def signal_projection(lattice, signal):
-    """Best probe-mixture representation of the true state.
-
-    Returns (c_star, residual): the free coefficients of the
-    Gram-projected least-squares representation computed from exact
-    probabilities, and the squared Hilbert-Schmidt norm of what the
-    probe span cannot express.  Singular Gram directions below 1e-10
-    are cut by the pseudo-inverse.
-    """
+def _truth_projection(lattice, signal):
+    """signal_projection's (c_star, residual), preceded by s_red: the probe
+    Gram matrix in the free coefficients, with c_M = 1 - sum(c) eliminated."""
     s = probe_gram(lattice)
     t = signal_born_probability(signal, lattice.amplitudes)
     s_red = s[:-1, :-1] - s[:-1, -1:] - s[-1:, :-1] + s[-1, -1]
@@ -250,7 +247,20 @@ def signal_projection(lattice, signal):
     purity = float(np.vdot(psi, psi).real) ** 2
     e_norm2 = purity - 2.0 * t[-1] + s[-1, -1]
     residual = float(e_norm2 - 2.0 * c_star @ r + c_star @ s_red @ c_star)
-    return c_star, max(residual, 0.0)
+    return s_red, c_star, max(residual, 0.0)
+
+
+def signal_projection(lattice, signal):
+    """Best probe-mixture representation of the true state.
+
+    Returns (c_star, residual): the free coefficients of the
+    Gram-projected least-squares representation computed from exact
+    probabilities, and the squared Hilbert-Schmidt norm of what the
+    probe span cannot express.  Singular Gram directions below 1e-10
+    are cut by the pseudo-inverse.
+    """
+    _, c_star, residual = _truth_projection(lattice, signal)
+    return c_star, residual
 
 
 def hs_distance_to_truth(post, lattice, signal):
@@ -259,9 +269,7 @@ def hs_distance_to_truth(post, lattice, signal):
     Closed form (m - c*) . S~ . (m - c*) + tr(S~ Sigma) + residual in
     the free coefficients; no sampling involved.
     """
-    s = probe_gram(lattice)
-    s_red = s[:-1, :-1] - s[:-1, -1:] - s[-1:, :-1] + s[-1, -1]
-    c_star, residual = signal_projection(lattice, signal)
+    s_red, c_star, residual = _truth_projection(lattice, signal)
     mean, cov = moments(post)
     e = mean - c_star
     return float(e @ s_red @ e + np.trace(s_red @ cov) + residual)
@@ -329,9 +337,7 @@ def run_reconstruction(config, bank=None):
         config.max_settings, bank.n_settings
     )
 
-    s = probe_gram(lattice)
-    s_red = s[:-1, :-1] - s[:-1, -1:] - s[-1:, :-1] + s[-1, -1]
-    c_star, residual = signal_projection(lattice, signal)
+    s_red, c_star, residual = _truth_projection(lattice, signal)
     psi = signal_fock_vector(signal)
 
     mean, cov = moments(post)
@@ -400,6 +406,8 @@ def run_reconstruction(config, bank=None):
         exhausted=exhausted,
         initial_variance=initial_variance,
         initial_shear_iterations=init_report.iterations,
+        initial_shear_hit_cap=init_report.hit_max_iterations,
+        initial_shear_max_p=init_report.max_p,
     )
 
     mean, cov = moments(post)
@@ -464,12 +472,15 @@ def export_report(trace, report, config, out_dir):
         "versions": {
             "dptomo": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "config": config.to_dict(),
         "stop_step": trace.stop_step,
         "exhausted": trace.exhausted,
         "initial_variance": trace.initial_variance,
         "initial_shear_iterations": trace.initial_shear_iterations,
+        "initial_shear_hit_cap": trace.initial_shear_hit_cap,
+        "initial_shear_max_p": trace.initial_shear_max_p,
         "trace": [vars(rec).copy() for rec in trace.records],
         "estimator": {
             "mean": report.mean.tolist(),
@@ -650,6 +661,9 @@ def _cmd_report(args):
         exhausted=payload["exhausted"],
         initial_variance=payload["initial_variance"],
         initial_shear_iterations=payload["initial_shear_iterations"],
+        # absent from run.json files written before they were recorded
+        initial_shear_hit_cap=payload.get("initial_shear_hit_cap"),
+        initial_shear_max_p=payload.get("initial_shear_max_p"),
     )
     est = payload["estimator"]
     density = assemble_estimator(

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from dptomo.experiment_cli import (
     EstimatorReport,
@@ -219,6 +220,14 @@ class TestPipeline:
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert 0.0 <= report.fidelity <= 1.05
 
+    def test_initial_shear_outcome_recorded(self, small_run):
+        # the first shear acts on the wide prior and runs into its cap
+        # with violations well above the threshold; the trace says so
+        config, (trace, _) = small_run
+        assert trace.initial_shear_iterations == config.shearing.max_iterations
+        assert trace.initial_shear_hit_cap is True
+        assert trace.initial_shear_max_p > config.shearing.p_threshold
+
     def test_deterministic(self, small_run):
         config, (trace, report) = small_run
         trace2, report2 = run_reconstruction(config)
@@ -282,6 +291,9 @@ class TestExport:
         assert [vars(r) for r in records] == [vars(r) for r in trace.records]
         assert payload["estimator"]["fidelity"] == report.fidelity
         assert payload["stop_step"] == trace.stop_step
+        assert payload["initial_shear_hit_cap"] == trace.initial_shear_hit_cap
+        assert payload["initial_shear_max_p"] == trace.initial_shear_max_p
+        assert payload["versions"]["scipy"] == scipy.__version__
 
     def test_csv_headers_and_rows(self, exported):
         _, trace, report, out, _ = exported
@@ -327,6 +339,18 @@ class TestExport:
         assert main(["report", "--run", str(run_path), "--out", str(tmp_path)]) == 0
         for name in ("trace.csv", "trajectory.csv", "frequencies.csv", "eigenvalues.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+    def test_report_reads_run_json_without_initial_shear_outcome(self, exported, tmp_path):
+        _, _, _, out, run_path = exported
+        payload = json.loads(open(run_path).read())
+        del payload["initial_shear_hit_cap"], payload["initial_shear_max_p"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        assert main(["report", "--run", str(old), "--out", str(tmp_path / "csv")]) == 0
+        reloaded = json.loads((tmp_path / "csv" / "run.json").read_text())
+        assert reloaded["initial_shear_hit_cap"] is None
+        assert reloaded["initial_shear_max_p"] is None
+        assert (tmp_path / "csv" / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
 
     def test_export_deterministic_modulo_timestamp(self, exported, tmp_path):
         config, trace, report, _, run_path = exported

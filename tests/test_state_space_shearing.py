@@ -267,30 +267,43 @@ def _loop_scenario(seed, dim=3, n_cons=5):
     return post, V, u
 
 
+def _manual_chain(post, V, u, cfg):
+    """The loop spelled out with standardize_constraint and apply_shear.
+
+    Returns (posterior, iterations, hit_cap, violators per pass), with
+    violators counted strictly above the threshold.
+    """
+    iters = 0
+    n_violating = []
+    while True:
+        stats = [standardize_constraint(post, v_i, u_i) for v_i, u_i in zip(V, u)]
+        x0 = np.array([s.x0 for s in stats])
+        p = np.array([s.p for s in stats])
+        n_violating.append(int((p > cfg.p_threshold).sum()))
+        over = p > cfg.p_threshold + 1e-9
+        if not over.any():
+            return post, iters, False, n_violating
+        if iters >= cfg.max_iterations:
+            return post, iters, True, n_violating
+        if cfg.select_by_abs:
+            idx = np.flatnonzero(over)
+            i = int(idx[np.argmax(np.abs(x0[idx]))])
+        else:
+            i = int(np.argmax(x0))
+        a, b = solve_shear_coefficients(x0[i], p[i] - cfg.p_step)
+        post = apply_shear(post, V[i], u[i], a, b)
+        iters += 1
+
+
 def test_loop_matches_manual_chain_and_never_spreads_violations():
     post, V, u = _loop_scenario(49)
     cons = LinearConstraintSet(V, u)
     cfg = ShearingConfig()
 
-    def all_stats(p0):
-        return [standardize_constraint(p0, v_i, u_i) for v_i, u_i in zip(V, u)]
-
-    manual = post
-    iters = 0
-    n_violating = sum(s.p > cfg.p_threshold for s in all_stats(manual))
-    assert n_violating >= 2  # the scenario must actually exercise the loop
-    while True:
-        stats = all_stats(manual)
-        now = sum(s.p > cfg.p_threshold for s in stats)
-        assert now - n_violating <= cons.count - 1
-        n_violating = now
-        i = int(np.argmax([s.x0 for s in stats]))
-        if stats[i].p <= cfg.p_threshold + 1e-9:
-            break
-        a, b = solve_shear_coefficients(stats[i].x0, stats[i].p - cfg.p_step)
-        manual = apply_shear(manual, V[i], u[i], a, b)
-        iters += 1
-        assert iters < cfg.max_iterations
+    manual, iters, hit_cap, n_violating = _manual_chain(post, V, u, cfg)
+    assert n_violating[0] >= 2  # the scenario must actually exercise the loop
+    assert not hit_cap
+    assert all(now - before <= cons.count - 1 for before, now in zip(n_violating, n_violating[1:]))
 
     looped, report = shear_until_physical(post, cons, cfg)
     assert report.iterations == iters
@@ -305,12 +318,76 @@ def test_loop_matches_manual_chain_and_never_spreads_violations():
     )
 
 
+def _wide_scenario(seed, dim=20, n_cons=40):
+    """Many constraints violating at once: enough shears to span several
+    refreshes of the loop's carried Gram matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    A = q @ np.diag(rng.uniform(0.3, 2.5, size=dim)) @ q.T
+    post = GaussianPosterior(A=A, b=rng.standard_normal(dim))
+    mean, cov = moments(post)
+    V = rng.standard_normal((n_cons, dim))
+    sd = np.sqrt(2.0 * np.einsum("ij,jk,ik->i", V, cov, V))
+    # boundaries 0.6 to 2.5 axis units below the mean: initial violations
+    # between about 2e-4 and 0.2, about half of them above the threshold
+    u = V @ mean + sd * rng.uniform(-2.5, -0.6, size=n_cons)
+    return post, V, u
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ShearingConfig(),
+        ShearingConfig(select_by_abs=True),
+        ShearingConfig(max_iterations=150),
+    ],
+    ids=["signed", "by_abs", "capped"],
+)
+def test_loop_matches_manual_chain_across_refreshes(cfg):
+    post, V, u = _wide_scenario(8)
+    manual, iters, hit_cap, _ = _manual_chain(post, V, u, cfg)
+    assert iters >= 150  # more than two refresh periods of carried updates
+
+    looped, report = shear_until_physical(post, LinearConstraintSet(V, u), cfg)
+    assert report.iterations == iters
+    assert report.hit_max_iterations == hit_cap
+    # the chain solves with A afresh at every shear, the loop carries
+    # Sherman-Morrison updates: equal up to rounding accumulated over the run
+    np.testing.assert_allclose(looped.A, manual.A, rtol=1e-9, atol=1e-9 * np.abs(manual.A).max())
+    np.testing.assert_allclose(looped.b, manual.b, rtol=1e-9, atol=1e-9 * np.abs(manual.b).max())
+    exact = [standardize_constraint(looped, v_i, u_i).p for v_i, u_i in zip(V, u)]
+    np.testing.assert_allclose(report.final_p, exact, rtol=0, atol=1e-9)
+    assert report.max_p == pytest.approx(max(exact), abs=1e-9)
+    if not hit_cap:
+        assert report.max_p <= cfg.p_threshold + 1e-9
+
+
 def test_loop_preserves_positive_definiteness():
     for seed in (5, 7, 19, 50):
         post, V, u = _loop_scenario(seed)
         new, report = shear_until_physical(post, LinearConstraintSet(V, u))
         assert not report.hit_max_iterations
         assert np.linalg.eigvalsh(new.A)[0] > 0
+
+
+def test_loop_repairs_a_start_just_short_of_positive_definite():
+    # one eigenvalue a hair below zero: the loop floors the spectrum once
+    # and then shears as usual
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = q @ np.diag([-1e-9, 0.5, 1.0, 2.0, 3.0, 4.0]) @ q.T
+    post = GaussianPosterior(A=A, b=rng.standard_normal(6))
+    cons = LinearConstraintSet(rng.standard_normal((9, 6)), rng.uniform(-0.5, 0.5, size=9))
+    new, report = shear_until_physical(post, cons)
+    assert report.iterations > 0 and not report.hit_max_iterations
+    assert report.max_p <= ShearingConfig().p_threshold + 1e-9
+    assert np.linalg.eigvalsh(new.A)[0] > 0
+
+
+def test_loop_gives_up_when_repair_cannot_restore_definiteness():
+    post = GaussianPosterior(A=-np.eye(2), b=np.zeros(2))
+    with pytest.raises(ShearSolveError):
+        shear_until_physical(post, LinearConstraintSet([[1.0, 0.0]], [0.0]))
 
 
 def test_signed_selection_skips_satisfied_constraints():
