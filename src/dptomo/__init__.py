@@ -31,7 +31,6 @@ from .gaussian_posterior import (
     GaussianPosterior,
     bayes_update,
     beta_moments,
-    exact_moments_oracle,
     gaussian_outside_mass,
     init_prior,
     moments,

@@ -25,6 +25,7 @@ import csv
 import datetime
 import json
 import os
+import subprocess
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -463,6 +464,27 @@ def lsq_baseline(bank, signal_frequencies):
 # ---------------------------------------------------------------------------
 # export
 
+def _blas_version():
+    """Name and version of the BLAS numpy was built with, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        return None
+
+
+def _git_revision():
+    """Commit of the checkout this package runs from; None outside one or without git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def export_report(trace, report, config, out_dir):
     """Write run.json plus the four plot-ready CSV files into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
@@ -473,6 +495,8 @@ def export_report(trace, report, config, out_dir):
             "dptomo": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": _blas_version(),
+            "git_revision": _git_revision(),
         },
         "config": config.to_dict(),
         "stop_step": trace.stop_step,

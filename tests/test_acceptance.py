@@ -17,7 +17,6 @@ from dptomo.gaussian_posterior import (
     GaussianPosterior,
     bayes_update,
     beta_moments,
-    exact_moments_oracle,
     gaussian_outside_mass,
     init_prior,
     moments,
@@ -42,6 +41,8 @@ from dptomo.state_space_shearing import (
     standardize_constraint,
     violation_probability,
 )
+
+from exact_oracle import exact_moments_oracle
 
 _SEEDS = [(b, 1000 + b) for b in range(1, 6)]
 

@@ -293,7 +293,17 @@ class TestExport:
         assert payload["stop_step"] == trace.stop_step
         assert payload["initial_shear_hit_cap"] == trace.initial_shear_hit_cap
         assert payload["initial_shear_max_p"] == trace.initial_shear_max_p
-        assert payload["versions"]["scipy"] == scipy.__version__
+        versions = payload["versions"]
+        assert versions["scipy"] == scipy.__version__
+        # present even where they cannot be determined (then null)
+        assert "blas" in versions and "git_revision" in versions
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions["blas"] == f"{blas['name']} {blas['version']}"
+
+    def test_git_revision_is_null_without_git(self, tmp_path, monkeypatch):
+        import dptomo.experiment_cli as mod
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert mod._git_revision() is None
 
     def test_csv_headers_and_rows(self, exported):
         _, trace, report, out, _ = exported

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -60,6 +61,51 @@ def test_custom_settings_list():
     bank = simulate_probe_bank(lat, settings, n_pulses=500, seed=7)
     assert bank.counts.shape == (2, 9)
     assert bank.n_pulses == 500
+
+
+# Every draw is pinned to the stream the docstrings promise, so a faster
+# sampler cannot silently change the data.  2**63 + 5 exercises Philox's
+# own reading of oversized seeds, -1 its wrapping of negative ones.
+PINNED_SEEDS = (42, -1, 2**63 + 5)
+
+
+def _stream_binomial(seed, index, n, p):
+    return np.random.Generator(np.random.Philox(key=[seed, index])).binomial(n, p)
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_bank_cells_equal_their_keyed_streams(seed):
+    lat = build_probe_lattice(3, 0.5, 0.0)
+    settings = np.array([0.0, 0.3 + 0.1j, -0.2j, 0.6 - 0.4j, 1.0])
+    bank = simulate_probe_bank(lat, settings, n_pulses=400, seed=seed)
+    p = coherent_overlap_prob(lat.amplitudes[None, :], settings[:, None])
+    n_settings, n_probes = p.shape
+    expected = [
+        [_stream_binomial(seed, k * n_probes + m, 400, p[k, m]) for m in range(n_probes)]
+        for k in range(n_settings)
+    ]
+    assert np.array_equal(bank.counts, expected)
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_meter_draws_equal_their_keyed_streams(seed):
+    lat = build_probe_lattice(3, 1.0, 0.0)
+    meter = SignalMeter(signal=CoherentSignal(0.5), setting_amplitudes=lat.amplitudes,
+                        n_pulses=1000, seed=seed)
+    got = {}
+    for k in (7, 2, 8, 0, 5, 3, 1, 6, 4):
+        # a bank build between queries must not disturb the meter's streams
+        simulate_probe_bank(lat, None, n_pulses=1000, seed=seed)
+        got[k] = meter.measure_signal(k)
+    for k, f in got.items():
+        n = _stream_binomial(seed, k, 1000, meter.true_probability(k))
+        assert f == n / 1000.0
+
+
+def test_small_bank_counts_are_pinned(small_bank):
+    # SHA-256 of the little-endian int64 counts of the 3x3, seed-42 bank
+    digest = hashlib.sha256(small_bank.counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == "eedd9dd192c2ef60b4e0ef5bbc5f742585bf392759d2b71926a88b0d32961160"
 
 
 # ---------------------------------------------------------------------------
