@@ -28,7 +28,8 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args
 
 import numpy as np
 import scipy
@@ -120,66 +121,84 @@ class RunConfig:
         return EvenCat(self.signal_alpha)
 
     def to_dict(self):
-        return {
-            "side_count": self.side_count,
-            "spacing": self.spacing,
-            "center": [self.center.real, self.center.imag],
-            "signal": {
-                "kind": self.signal_kind,
-                "alpha": [complex(self.signal_alpha).real, complex(self.signal_alpha).imag],
-            },
-            "n_bank_pulses": self.n_bank_pulses,
-            "n_signal_pulses": self.n_signal_pulses,
-            "bank_seed": self.bank_seed,
-            "signal_seed": self.signal_seed,
-            "epsilon_reg": self.epsilon_reg,
-            "shearing": {
-                "p_threshold": self.shearing.p_threshold,
-                "p_step": self.shearing.p_step,
-                "epsilon_total": self.shearing.epsilon_total,
-                "max_iterations": self.shearing.max_iterations,
-                "select_by_abs": self.shearing.select_by_abs,
-            },
-            "stopping": {
-                "eta": self.stopping.eta,
-                "consecutive": self.stopping.consecutive,
-            },
-            "max_settings": self.max_settings,
-            "continue_past_stop": self.continue_past_stop,
-            "strict_paper_sigma": self.strict_paper_sigma,
-            "null_stiffening": self.null_stiffening,
-            "stiffening_tau": self.stiffening_tau,
-            "stiffening_cutoff": self.stiffening_cutoff,
-            "gh_nodes": self.gh_nodes,
-            "fock_n_max": self.fock_n_max,
-        }
+        """The fields in order as JSON, with complex values as [re, im] and
+        signal_kind and signal_alpha as one "signal": {"kind", "alpha"} block."""
+        out = {}
+        for f in fields(self):
+            value = _json_value(f.type, getattr(self, f.name))
+            if f.name in _SIGNAL_KEYS:
+                out.setdefault("signal", {})[_SIGNAL_KEYS[f.name]] = value
+            else:
+                out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        kwargs = {}
-        for key in (
-            "side_count", "n_bank_pulses", "n_signal_pulses", "bank_seed",
-            "signal_seed", "epsilon_reg", "spacing", "max_settings",
-            "continue_past_stop", "strict_paper_sigma", "null_stiffening",
-            "stiffening_tau", "stiffening_cutoff", "gh_nodes", "fock_n_max",
-        ):
-            if key in data:
-                kwargs[key] = data[key]
-        if "center" in data:
-            re, im = data["center"]
-            kwargs["center"] = complex(re, im)
-        if "signal" in data:
-            sig = data["signal"]
-            kwargs["signal_kind"] = sig.get("kind", "coherent")
-            if "alpha" in sig:
-                re, im = sig["alpha"]
-                kwargs["signal_alpha"] = complex(re, im)
-        if "shearing" in data:
-            kwargs["shearing"] = ShearingConfig(**data["shearing"])
-        if "stopping" in data:
-            kwargs["stopping"] = StoppingConfig(**data["stopping"])
-        return cls(**kwargs)
+        """Inverse of to_dict; absent keys keep their defaults.  Raises
+        ValueError naming an unknown key, at any level, or a key whose value
+        has a JSON type that does not fit its field."""
+        names = {f.name: f.name for f in fields(cls) if f.name not in _SIGNAL_KEYS}
+        names["signal"] = {key: name for name, key in _SIGNAL_KEYS.items()}
+        return cls(**_read_fields(cls, data, "", names))
+
+
+# JSON keys of the one block that groups fields instead of mirroring a dataclass
+_SIGNAL_KEYS = {"signal_kind": "kind", "signal_alpha": "alpha"}
+# Keys older versions wrote that configure nothing, skipped so that their
+# run.json files still reload: no algorithm read shearing.epsilon_total.
+_RETIRED_KEYS = {"shearing.epsilon_total"}
+# The JSON types each field annotation admits; a bool fits only bool although
+# Python counts it as an int, and complex is read from [re, im]
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), complex: ()}
+
+
+def _json_value(kind, value):
+    if kind is complex:
+        value = complex(value)
+        return [value.real, value.imag]
+    if is_dataclass(kind):
+        return {f.name: _json_value(f.type, getattr(value, f.name)) for f in fields(kind)}
+    return value
+
+
+def _read_fields(cls, data, where, names=None):
+    """Keywords for dataclass ``cls`` from JSON object ``data``, whose key path starts ``where``.
+
+    ``names`` maps each accepted key to the field it sets (default: the field
+    of that name), or to such a mapping for a block of ``cls``'s own fields.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config key {where[:-1]!r} must be a JSON object" if where
+                         else "a config must be a JSON object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    names = names or {name: name for name in kinds}
+    kwargs = {}
+    for key, value in data.items():
+        path = where + key
+        if path in _RETIRED_KEYS:
+            continue
+        if key not in names:
+            raise ValueError(f"unknown config key {path!r}")
+        if isinstance(names[key], dict):
+            kwargs.update(_read_fields(cls, value, path + ".", names[key]))
+        else:
+            kwargs[names[key]] = _read_value(kinds[names[key]], value, path)
+    return kwargs
+
+
+def _read_value(kind, value, path):
+    if is_dataclass(kind):
+        return kind(**_read_fields(kind, value, path + "."))
+    arms = get_args(kind) or (kind,)  # X | None lists X first
+    if value is None and type(None) in arms:
+        return None
+    kind = arms[0]
+    if kind is complex and isinstance(value, list) and len(value) == 2:
+        return complex(*(_read_value(float, x, path) for x in value))
+    if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind is bool):
+        return value
+    expected = "[re, im]" if kind is complex else kind.__name__
+    raise ValueError(f"config key {path!r} must be {expected}, got {json.dumps(value)}")
 
 
 def load_config(path):
@@ -499,12 +518,7 @@ def export_report(trace, report, config, out_dir):
             "git_revision": _git_revision(),
         },
         "config": config.to_dict(),
-        "stop_step": trace.stop_step,
-        "exhausted": trace.exhausted,
-        "initial_variance": trace.initial_variance,
-        "initial_shear_iterations": trace.initial_shear_iterations,
-        "initial_shear_hit_cap": trace.initial_shear_hit_cap,
-        "initial_shear_max_p": trace.initial_shear_max_p,
+        **{f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "records"},
         "trace": [vars(rec).copy() for rec in trace.records],
         "estimator": {
             "mean": report.mean.tolist(),
@@ -524,38 +538,28 @@ def export_report(trace, report, config, out_dir):
     with open(run_path, "w") as fh:
         json.dump(payload, fh, indent=1)
 
-    trace_cols = [
-        "step", "setting_index", "setting_re", "setting_im",
-        "predicted_variance", "variance", "frequency", "stopping",
-        "min_eig_before", "min_eig_after", "hs_distance", "step_change",
-        "shear_iterations", "shear_max_p", "shear_hit_cap", "variance_increased",
-    ]
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_cols)
-        for rec in trace.records:
-            d = vars(rec)
-            writer.writerow([repr(float(d[c])) if isinstance(d[c], float) else d[c] for c in trace_cols])
-    with open(os.path.join(out_dir, "trajectory.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "setting_index", "setting_re", "setting_im"])
-        for rec in trace.records:
-            writer.writerow([rec.step, rec.setting_index, repr(float(rec.setting_re)), repr(float(rec.setting_im))])
+    per_step_csvs = {  # every StepRecord field, and two subsets for plotting
+        "trace.csv": [f.name for f in fields(StepRecord)],
+        "trajectory.csv": ["step", "setting_index", "setting_re", "setting_im"],
+        "eigenvalues.csv": ["step", "min_eig_before", "min_eig_after"],
+    }
+    for name, columns in per_step_csvs.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for rec in trace.records:
+                row = [getattr(rec, c) for c in columns]
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     with open(os.path.join(out_dir, "frequencies.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting_index", "estimated_probability", "measured_frequency"])
         for i, est, meas in report.probabilities:
             writer.writerow([i, repr(float(est)), repr(float(meas))])
-    with open(os.path.join(out_dir, "eigenvalues.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "min_eig_before", "min_eig_after"])
-        for rec in trace.records:
-            writer.writerow([rec.step, repr(float(rec.min_eig_before)), repr(float(rec.min_eig_after))])
     return run_path
 
 
 def load_run(path):
-    """Reload run.json into (config, trace_records_as_dicts, estimator_dict)."""
+    """Reload run.json into (config, payload): its RunConfig and the whole parsed document."""
     with open(path) as fh:
         payload = json.load(fh)
     config = RunConfig.from_dict(payload["config"])
@@ -679,16 +683,12 @@ def _cmd_baseline(args):
 def _cmd_report(args):
     config, payload = load_run(args.run)
     records = [StepRecord(**rec) for rec in payload["trace"]]
-    trace = SelectionTrace(
-        records=records,
-        stop_step=payload["stop_step"],
-        exhausted=payload["exhausted"],
-        initial_variance=payload["initial_variance"],
-        initial_shear_iterations=payload["initial_shear_iterations"],
-        # absent from run.json files written before they were recorded
-        initial_shear_hit_cap=payload.get("initial_shear_hit_cap"),
-        initial_shear_max_p=payload.get("initial_shear_max_p"),
-    )
+    # absent from run.json files written before they were recorded
+    later = ("initial_shear_hit_cap", "initial_shear_max_p")
+    trace = SelectionTrace(records=records, **{
+        f.name: payload.get(f.name) if f.name in later else payload[f.name]
+        for f in fields(SelectionTrace) if f.name != "records"
+    })
     est = payload["estimator"]
     density = assemble_estimator(
         np.asarray(est["mean"]),

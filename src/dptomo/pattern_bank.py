@@ -51,12 +51,15 @@ class _KeyedBinomial:
     generator is reset to key (seed, index), counter zero, an empty
     buffer and no cached half-word before every draw, so neither call
     order nor earlier draws change a result.  The key's first word is
-    taken from Philox's own parsing of ``[seed, 0]``, which is how it
-    wraps negative seeds and reads seeds at or above 2**63.  A class,
-    not a closure, so that a ``SignalMeter`` still pickles.
+    taken from Philox's own parsing of ``[seed, 0]``, which wraps negative
+    seeds; seeds outside [-2**63, 2**63), which it would read through
+    float64 into shared streams, raise ValueError.  A class, not a closure,
+    so that a ``SignalMeter`` still pickles.
     """
 
     def __init__(self, seed):
+        if not -2**63 <= int(seed) < 2**63:
+            raise ValueError(f"seed {seed} outside [-2**63, 2**63)")
         self._gen = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
         self._state = self._gen.bit_generator.state
 

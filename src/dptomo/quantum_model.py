@@ -238,15 +238,11 @@ def constraint_coefficients(lattice, ket_set):
     For each test ket the expectation q_i(m) = <psi_i|rho_m|psi_i> gives
     one inequality sum_m c_m q_i(m) >= 0.  Eliminating the dependent
     coefficient c_M = 1 - sum c_m turns it into v_i . c >= u_i with
-    v_{i,m} = q_i(m) - q_i(M) and u_i = -q_i(M).  Identically-zero rows
-    carry no information and are dropped.
+    v_{i,m} = q_i(m) - q_i(M) and u_i = -q_i(M).
     """
     probes = np.stack([coherent_fock_vector(a, ket_set.kets.shape[0]) for a in lattice.amplitudes], axis=1)
     q = np.abs(ket_set.kets.conj().T @ probes) ** 2  # kets x probes
-    v = q[:, :-1] - q[:, -1:]
-    u = -q[:, -1]
-    keep = np.linalg.norm(v, axis=1) > 0
-    return v[keep], u[keep]
+    return q[:, :-1] - q[:, -1:], -q[:, -1]
 
 
 # ---------------------------------------------------------------------------

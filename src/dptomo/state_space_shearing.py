@@ -90,15 +90,12 @@ class LinearConstraintSet:
 class ShearingConfig:
     p_threshold: float = 0.01
     p_step: float = 0.0025
-    epsilon_total: float = 0.01
     max_iterations: int = 20000
     select_by_abs: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.p_step < self.p_threshold < 1.0:
             raise ValueError("need 0 < p_step < p_threshold < 1")
-        if not 0.0 < self.epsilon_total < 1.0:
-            raise ValueError("epsilon_total must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 

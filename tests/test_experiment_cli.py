@@ -93,6 +93,36 @@ class TestRunConfig:
         )
         assert RunConfig.from_dict(config.to_dict()) == config
 
+    def test_default_dict_is_pinned(self):
+        # the run.json schema, key order included
+        expected = {
+            "side_count": 11,
+            "spacing": 0.125,
+            "center": [0.0, 0.0],
+            "signal": {"kind": "coherent", "alpha": [0.5, 0.0]},
+            "n_bank_pulses": 1000,
+            "n_signal_pulses": 1000,
+            "bank_seed": 1,
+            "signal_seed": 1001,
+            "epsilon_reg": 1e-06,
+            "shearing": {
+                "p_threshold": 0.01,
+                "p_step": 0.0025,
+                "max_iterations": 20000,
+                "select_by_abs": False,
+            },
+            "stopping": {"eta": 0.01, "consecutive": 3},
+            "max_settings": None,
+            "continue_past_stop": False,
+            "strict_paper_sigma": False,
+            "null_stiffening": True,
+            "stiffening_tau": 5000.0,
+            "stiffening_cutoff": 1e-06,
+            "gh_nodes": 32,
+            "fock_n_max": 40,
+        }
+        assert json.dumps(RunConfig().to_dict()) == json.dumps(expected)
+
     def test_load_config_file(self, tmp_path):
         config = _small_config(signal_alpha=0.3 + 0.1j)
         path = tmp_path / "cfg.json"
@@ -362,6 +392,18 @@ class TestExport:
         assert reloaded["initial_shear_max_p"] is None
         assert (tmp_path / "csv" / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
 
+    def test_report_reads_run_json_with_epsilon_total(self, exported, tmp_path):
+        # run.json files written while ShearingConfig had epsilon_total carry it
+        config, _, _, out, run_path = exported
+        payload = json.loads(open(run_path).read())
+        payload["config"]["shearing"]["epsilon_total"] = 0.01
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        assert load_run(old)[0] == config
+        assert main(["report", "--run", str(old), "--out", str(tmp_path / "csv")]) == 0
+        for name in ("trace.csv", "trajectory.csv", "frequencies.csv", "eigenvalues.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (out / name).read_bytes()
+
     def test_export_deterministic_modulo_timestamp(self, exported, tmp_path):
         config, trace, report, _, run_path = exported
         second = export_report(trace, report, config, tmp_path)
@@ -431,6 +473,29 @@ class TestCommandLine:
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            (lambda d: {**d, "gh_node": 16}, "'gh_node'"),
+            (lambda d: {**d, "signal": {**d["signal"], "phase": 0.1}}, "'signal.phase'"),
+            (lambda d: {**d, "shearing": {**d["shearing"], "p_stop": 0.1}}, "'shearing.p_stop'"),
+            (lambda d: {**d, "stopping": {**d["stopping"], "patience": 2}}, "'stopping.patience'"),
+            (lambda d: {**d, "signal": {**d["signal"], "alpha": 0.5}}, "'signal.alpha'"),
+            (lambda d: {**d, "side_count": "11"}, "'side_count'"),
+            (lambda d: {**d, "side_count": 11.0}, "'side_count'"),
+            (lambda d: [d], "JSON object"),
+        ],
+        ids=["top-key", "signal-key", "shearing-key", "stopping-key",
+             "alpha-number", "side-count-string", "side-count-float", "top-list"],
+    )
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys, patch, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(patch(_small_config().to_dict())))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err
+        assert "Traceback" not in err
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json"),

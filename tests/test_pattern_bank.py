@@ -64,9 +64,9 @@ def test_custom_settings_list():
 
 
 # Every draw is pinned to the stream the docstrings promise, so a faster
-# sampler cannot silently change the data.  2**63 + 5 exercises Philox's
-# own reading of oversized seeds, -1 its wrapping of negative ones.
-PINNED_SEEDS = (42, -1, 2**63 + 5)
+# sampler cannot silently change the data.  -1 and -2**63 exercise Philox's
+# wrapping of negative seeds, 2**63 - 1 the largest seed accepted.
+PINNED_SEEDS = (42, -1, -2**63, 2**63 - 1)
 
 
 def _stream_binomial(seed, index, n, p):
@@ -100,6 +100,18 @@ def test_meter_draws_equal_their_keyed_streams(seed):
     for k, f in got.items():
         n = _stream_binomial(seed, k, 1000, meter.true_probability(k))
         assert f == n / 1000.0
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 5, 2**64 - 1])
+def test_seeds_beyond_int64_are_refused(seed):
+    # Philox would read these through float64: 2**63 and 2**63 + 5 would
+    # share a stream, and 2**64 - 1 would replay seed 0's
+    lat = build_probe_lattice(3, 1.0, 0.0)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_probe_bank(lat, None, n_pulses=10, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        SignalMeter(signal=CoherentSignal(0.5), setting_amplitudes=lat.amplitudes,
+                    n_pulses=10, seed=seed)
 
 
 def test_small_bank_counts_are_pinned(small_bank):

@@ -20,6 +20,7 @@ from dptomo.quantum_model import (
     signal_fock_vector,
     TestKetSet,
 )
+from dptomo.state_space_shearing import LinearConstraintSet
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +163,7 @@ def test_constraint_coefficients_drop_zero_rows():
     lat = build_probe_lattice(3, 1.0, 0.0)
     dead = np.zeros((41, 1), dtype=complex)  # a null ket sees nothing
     kets = TestKetSet(kets=dead, labels=("null",))
-    v, u = constraint_coefficients(lat, kets)
-    assert v.shape[0] == 0 and u.size == 0
+    assert LinearConstraintSet(*constraint_coefficients(lat, kets)).count == 0
 
 
 # ---------------------------------------------------------------------------

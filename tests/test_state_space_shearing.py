@@ -57,8 +57,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ShearingConfig(p_threshold=1.5)
     with pytest.raises(ValueError):
-        ShearingConfig(epsilon_total=0.0)
-    with pytest.raises(ValueError):
         ShearingConfig(max_iterations=0)
 
 
