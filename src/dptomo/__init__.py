@@ -46,7 +46,6 @@ from .state_space_shearing import (
     standardize_constraint,
 )
 from .measurement_selector import (
-    CandidateScore,
     StoppingConfig,
     posterior_total_variance,
     predicted_average_variance,

@@ -44,6 +44,7 @@ from .measurement_selector import (
 from .pattern_bank import (
     BankFormatError,
     SignalMeter,
+    check_seed,
     export_patterns_csv,
     load_bank,
     save_bank,
@@ -112,6 +113,8 @@ class RunConfig:
             raise ValueError("stiffening parameters out of range")
         if self.gh_nodes < 2:
             raise ValueError("gh_nodes must be at least 2")
+        check_seed(self.bank_seed)
+        check_seed(self.signal_seed)
 
     def signal(self):
         if self.signal_kind == "coherent":
@@ -289,8 +292,11 @@ def hs_distance_to_truth(post, lattice, signal):
     Closed form (m - c*) . S~ . (m - c*) + tr(S~ Sigma) + residual in
     the free coefficients; no sampling involved.
     """
-    s_red, c_star, residual = _truth_projection(lattice, signal)
-    mean, cov = moments(post)
+    return _hs_distance(*moments(post), *_truth_projection(lattice, signal))
+
+
+def _hs_distance(mean, cov, s_red, c_star, residual):
+    """hs_distance_to_truth from the belief's moments and _truth_projection's output."""
     e = mean - c_star
     return float(e @ s_red @ e + np.trace(s_red @ cov) + residual)
 
@@ -371,20 +377,20 @@ def run_reconstruction(config, bank=None):
     stop_step = None
 
     for k in range(1, budget + 1):
-        best = select_next(
+        best, predicted = select_next(
             post, freqs, n_s, measured,
             n_nodes=config.gh_nodes, strict_paper=config.strict_paper_sigma,
         )
-        history.append((best.predicted_variance, var_prev))
+        history.append((predicted, var_prev))
         if stop_step is None and stopping_check(history, config.stopping):
             stop_step = k - 1
             if records:
                 records[-1].stopping = True
             if not config.continue_past_stop:
                 break
-        f_meas = meter.measure_signal(best.setting_index)
+        f_meas = meter.measure_signal(best)
         post = bayes_update(
-            post, freqs[best.setting_index], f_meas, n_s,
+            post, freqs[best], f_meas, n_s,
             strict_paper=config.strict_paper_sigma,
         )
         mean_raw, _ = moments(post)
@@ -393,29 +399,27 @@ def run_reconstruction(config, bank=None):
         mean, cov = moments(post)
         eig_after = assemble_estimator(mean, lattice).min_eigenvalue()
         var_now = float(np.trace(cov))
-        e = mean - c_star
-        hs_now = float(e @ s_red @ e + np.trace(s_red @ cov) + residual)
         dmean = mean - mean_prev
-        amp = bank.setting_amplitudes[best.setting_index]
+        amp = bank.setting_amplitudes[best]
         records.append(StepRecord(
             step=k,
-            setting_index=best.setting_index,
+            setting_index=best,
             setting_re=float(amp.real),
             setting_im=float(amp.imag),
-            predicted_variance=float(best.predicted_variance),
+            predicted_variance=predicted,
             variance=var_now,
             frequency=float(f_meas),
             stopping=False,
             min_eig_before=eig_before,
             min_eig_after=eig_after,
-            hs_distance=hs_now,
+            hs_distance=_hs_distance(mean, cov, s_red, c_star, residual),
             step_change=float(dmean @ s_red @ dmean),
             shear_iterations=shear_report.iterations,
             shear_max_p=shear_report.max_p,
             shear_hit_cap=shear_report.hit_max_iterations,
             variance_increased=bool(var_now > var_prev),
         ))
-        measured.append(best.setting_index)
+        measured.append(best)
         var_prev = var_now
         mean_prev = mean
 
@@ -682,13 +686,18 @@ def _cmd_baseline(args):
 
 def _cmd_report(args):
     config, payload = load_run(args.run)
-    records = [StepRecord(**rec) for rec in payload["trace"]]
     # absent from run.json files written before they were recorded
     later = ("initial_shear_hit_cap", "initial_shear_max_p")
-    trace = SelectionTrace(records=records, **{
-        f.name: payload.get(f.name) if f.name in later else payload[f.name]
-        for f in fields(SelectionTrace) if f.name != "records"
-    })
+    try:
+        records = [StepRecord(**rec) for rec in payload["trace"]]
+        trace = SelectionTrace(records=records, **{
+            f.name: payload.get(f.name) if f.name in later else payload[f.name]
+            for f in fields(SelectionTrace) if f.name != "records"
+        })
+    except KeyError as exc:
+        raise ValueError(f"run.json lacks key {exc}") from exc
+    except TypeError as exc:  # a trace record whose keys are not StepRecord's
+        raise ValueError(f"run.json trace record: {exc}") from exc
     est = payload["estimator"]
     density = assemble_estimator(
         np.asarray(est["mean"]),

@@ -49,26 +49,25 @@ def init_prior(dim, epsilon=1e-6):
     )
 
 
-def beta_moments(frequency, n_shots, strict_paper=False):
-    """Mean and variance summarizing one binomial record of F = n/N.
+def beta_variance(frequency, n_shots, strict_paper=False):
+    """Beta(n + 1, N - n + 1) variance (NF+1)(N(1-F)+1) / ((N+2)^2 (N+3)), elementwise
+    in F.  ``strict_paper`` puts NF for NF+1, floored at 1e-12 where it vanishes."""
+    n = float(n_shots)
+    f = np.asarray(frequency, dtype=float)
+    denom = (n + 2.0) ** 2 * (n + 3.0)
+    if strict_paper:
+        return np.maximum((n * f) * (n * (1.0 - f) + 1.0) / denom, 1e-12)
+    return (n * f + 1.0) * (n * (1.0 - f) + 1.0) / denom
 
-    The default is the Beta(n + 1, N - n + 1) posterior: mu = (NF+1)/(N+2)
-    and sigma^2 = (NF+1)(N(1-F)+1) / ((N+2)^2 (N+3)).  With
-    ``strict_paper`` the variance numerator uses NF instead of NF+1,
-    which vanishes at F = 0, so it is floored at 1e-12 to keep the
-    update defined.
-    """
+
+def beta_moments(frequency, n_shots, strict_paper=False):
+    """Mean (NF+1)/(N+2) and variance ``beta_variance`` of one record F = n/N."""
     n = float(n_shots)
     f = float(frequency)
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"frequency {f} outside [0, 1]")
     mu = (n * f + 1.0) / (n + 2.0)
-    denom = (n + 2.0) ** 2 * (n + 3.0)
-    if strict_paper:
-        sigma2 = max((n * f) * (n * (1.0 - f) + 1.0) / denom, 1e-12)
-    else:
-        sigma2 = (n * f + 1.0) * (n * (1.0 - f) + 1.0) / denom
-    return mu, sigma2
+    return mu, float(beta_variance(f, n_shots, strict_paper))
 
 
 def bayes_update(post, pattern_row, frequency, n_shots, strict_paper=False):

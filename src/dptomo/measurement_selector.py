@@ -5,10 +5,12 @@ probability P(c) = g_k . c + f_{kM}, a scalar Gaussian under the current
 belief.  Mixing the binomial outcome likelihood over that Gaussian with
 Gauss-Hermite quadrature gives the predictive distribution of the count
 n; for each hypothetical n the posterior trace shrinks by the rank-one
-amount Sg.Sg / (sigma^2(n) + g.Sg), so the predicted average variance is
-a weighted sum of closed forms and never requires refitting.  The
-setting minimizing that prediction is measured next.  Scoring reads the
-belief and the bank and touches no randomness.
+amount |Sigma g|^2 / (sigma^2(n) + g.Sigma.g), so the predicted average
+variance is a weighted sum of closed forms and never requires refitting.
+One kernel scores a whole table of rows as an array, and every public
+function here is a view of it; ``select_next`` returns (index,
+prediction) at the argmin.  Scoring reads the belief and the bank and
+touches no randomness.
 
 The run stops once the predicted improvement stays within a small
 relative band of the current variance for several consecutive steps.
@@ -19,18 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .gaussian_posterior import moments
+from .gaussian_posterior import beta_variance, moments
 
 _DEFAULT_NODES = 32
 _P_CLIP = 1e-12
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """One candidate setting with its predicted average variance."""
-
-    setting_index: int
-    predicted_variance: float
 
 
 @dataclass(frozen=True)
@@ -51,14 +45,6 @@ def posterior_total_variance(post):
     return float(np.trace(cov))
 
 
-def _outcome_sigma2(n_shots, strict_paper):
-    n = np.arange(n_shots + 1, dtype=float)
-    denom = (n_shots + 2.0) ** 2 * (n_shots + 3.0)
-    if strict_paper:
-        return np.maximum(n * (n_shots - n + 1.0) / denom, 1e-12)
-    return (n + 1.0) * (n_shots - n + 1.0) / denom
-
-
 def _predictive_pmf(m_p, s_p, n_shots, n_nodes):
     # Gauss-Hermite in the standardized variable: P = m_p + sqrt(2) s_p x
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
@@ -75,6 +61,25 @@ def _predictive_pmf(m_p, s_p, n_shots, n_nodes):
     return pmf / pmf.sum()
 
 
+def _row_scalars(mean, cov, rows):
+    """Predictive mean m_p, v = g.Sigma.g and |Sigma g|^2 of each row of a K x M table."""
+    g = rows[:, :-1] - rows[:, -1:]
+    sg = g @ cov.T  # row k is (Sigma g_k)^T
+    return g @ mean + rows[:, -1], np.einsum("kd,kd->k", g, sg), np.einsum("kd,kd->k", sg, sg)
+
+
+def _scores(post, rows, n_shots, n_nodes, strict_paper):
+    """Predicted average variance after measuring each row of ``rows``."""
+    mean, cov = moments(post)
+    m_p, v, sg2 = _row_scalars(mean, cov, rows)
+    sigma2 = beta_variance(np.arange(n_shots + 1) / max(n_shots, 1), n_shots, strict_paper)
+    h = np.array([
+        _predictive_pmf(m, np.sqrt(max(vk, 0.0)), n_shots, n_nodes) @ (1.0 / (sigma2 + vk))
+        for m, vk in zip(m_p, v)
+    ])
+    return np.trace(cov) - sg2 * h
+
+
 def predictive_outcome_dist(post, pattern_row, n_shots, n_nodes=_DEFAULT_NODES):
     """Distribution of the click count if this setting were measured now.
 
@@ -87,50 +92,31 @@ def predictive_outcome_dist(post, pattern_row, n_shots, n_nodes=_DEFAULT_NODES):
     if row.size != post.dim + 1:
         raise ValueError(f"pattern row has {row.size} entries, expected {post.dim + 1}")
     mean, cov = moments(post)
-    g = row[:-1] - row[-1]
-    m_p = float(g @ mean + row[-1])
-    s_p = float(np.sqrt(max(g @ cov @ g, 0.0)))
-    return _predictive_pmf(m_p, s_p, n_shots, n_nodes)
+    m_p, v, _ = _row_scalars(mean, cov, row.reshape(1, -1))
+    return _predictive_pmf(m_p[0], np.sqrt(max(v[0], 0.0)), n_shots, n_nodes)
 
 
 def predicted_average_variance(post, pattern_row, n_shots, n_nodes=_DEFAULT_NODES,
                                strict_paper=False):
     """Expected posterior variance after measuring one candidate setting."""
-    row = np.asarray(pattern_row, dtype=float)
-    mean, cov = moments(post)
-    return _score_one(mean, cov, float(np.trace(cov)), row, n_shots, n_nodes, strict_paper)
-
-
-def _score_one(mean, cov, total_var, row, n_shots, n_nodes, strict_paper):
-    g = row[:-1] - row[-1]
-    sg = cov @ g
-    g_sg = float(g @ sg)
-    m_p = float(g @ mean + row[-1])
-    pmf = _predictive_pmf(m_p, np.sqrt(max(g_sg, 0.0)), n_shots, n_nodes)
-    var_n = total_var - (sg @ sg) / (_outcome_sigma2(n_shots, strict_paper) + g_sg)
-    return float(pmf @ var_n)
+    rows = np.asarray(pattern_row, dtype=float).reshape(1, -1)
+    return float(score_candidates(post, rows, n_shots, (), n_nodes, strict_paper)[0])
 
 
 def score_candidates(post, bank_frequencies, n_shots, exclude=(),
                      n_nodes=_DEFAULT_NODES, strict_paper=False):
-    """Predicted average variance for every not-yet-measured setting.
+    """Predicted average variance of every setting, as a length-K array.
 
     ``bank_frequencies`` is the full K x M frequency table.  Rows listed
-    in ``exclude`` are skipped (measure each setting at most once).
-    Pure function of its inputs.
+    in ``exclude`` (measure each setting at most once) are not scored and
+    read ``inf``.  Pure function of its inputs.
     """
     freqs = np.asarray(bank_frequencies, dtype=float)
     if freqs.ndim != 2 or freqs.shape[1] != post.dim + 1:
         raise ValueError(f"frequency table shape {freqs.shape} does not fit dim {post.dim}")
-    mean, cov = moments(post)
-    total_var = float(np.trace(cov))
-    skip = set(int(k) for k in exclude)
-    scores = []
-    for k in range(freqs.shape[0]):
-        if k in skip:
-            continue
-        delta = _score_one(mean, cov, total_var, freqs[k], n_shots, n_nodes, strict_paper)
-        scores.append(CandidateScore(setting_index=k, predicted_variance=delta))
+    keep = ~np.isin(np.arange(len(freqs)), [int(k) for k in exclude])
+    scores = np.full(len(freqs), np.inf)
+    scores[keep] = _scores(post, freqs[keep], n_shots, n_nodes, strict_paper)
     return scores
 
 
@@ -138,18 +124,16 @@ def select_next(post, bank_frequencies, n_shots, measured=(),
                 n_nodes=_DEFAULT_NODES, strict_paper=False):
     """Greedy choice: the unmeasured setting with the smallest prediction.
 
-    Ties resolve to the lowest setting index.  Raises if every setting
-    has been measured already.
+    Returns (setting_index, predicted_variance).  Ties resolve to the
+    lowest setting index.  Raises if every setting has been measured
+    already.
     """
     scores = score_candidates(post, bank_frequencies, n_shots, exclude=measured,
                               n_nodes=n_nodes, strict_paper=strict_paper)
-    if not scores:
+    if not (scores < np.inf).any():
         raise ValueError("no unmeasured settings remain")
-    best = scores[0]
-    for s in scores[1:]:
-        if s.predicted_variance < best.predicted_variance:
-            best = s
-    return best
+    best = int(np.argmin(scores))
+    return best, float(scores[best])
 
 
 def stopping_check(history, config=None):

@@ -43,6 +43,12 @@ class CountRangeError(BankFormatError):
     """A click count outside [0, N_p]."""
 
 
+def check_seed(seed):
+    """Refuse a seed outside [-2**63, 2**63); Philox would read it through float64."""
+    if not -2**63 <= int(seed) < 2**63:
+        raise ValueError(f"seed {seed} outside [-2**63, 2**63)")
+
+
 class _KeyedBinomial:
     """Binomial sampler whose draw ``index`` reads stream (seed, index).
 
@@ -58,8 +64,7 @@ class _KeyedBinomial:
     """
 
     def __init__(self, seed):
-        if not -2**63 <= int(seed) < 2**63:
-            raise ValueError(f"seed {seed} outside [-2**63, 2**63)")
+        check_seed(seed)
         self._gen = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
         self._state = self._gen.bit_generator.state
 

@@ -392,6 +392,26 @@ class TestExport:
         assert reloaded["initial_shear_max_p"] is None
         assert (tmp_path / "csv" / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "patch, named",
+        [
+            (lambda d: d.pop("exhausted"), "'exhausted'"),
+            (lambda d: d["trace"][0].update(select_s=0.1), "'select_s'"),
+            (lambda d: d["trace"][0].pop("frequency"), "'frequency'"),
+        ],
+        ids=["trace-key-missing", "record-key-unknown", "record-key-missing"],
+    )
+    def test_report_refuses_malformed_trace(self, exported, tmp_path, capsys, patch, named):
+        _, _, _, _, run_path = exported
+        payload = json.loads(open(run_path).read())
+        patch(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["report", "--run", str(bad), "--out", str(tmp_path / "csv")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err
+        assert "Traceback" not in err
+
     def test_report_reads_run_json_with_epsilon_total(self, exported, tmp_path):
         # run.json files written while ShearingConfig had epsilon_total carry it
         config, _, _, out, run_path = exported
@@ -445,6 +465,20 @@ class TestCommandLine:
         config, _ = load_run(out / "run.json")
         assert config.bank_seed == 9
         assert config.signal_seed == 9 + 1000003
+
+    def test_out_of_range_signal_seed_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the bank seed 2**63 - 1 is valid, the derived signal seed is not
+        import dptomo.experiment_cli as mod
+        def no_bank(*args, **kwargs):
+            raise AssertionError("bank simulated before the seeds were checked")
+        monkeypatch.setattr(mod, "simulate_probe_bank", no_bank)
+        cfg = self._config_file(tmp_path)
+        code = main(["run", "--config", cfg, "--seed", str(2**63 - 1),
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and str(2**63 - 1 + 1000003) in err
 
     def test_baseline_command(self, tmp_path):
         cfg = self._config_file(tmp_path)

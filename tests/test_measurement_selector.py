@@ -19,7 +19,6 @@ from dptomo.gaussian_posterior import (
     moments,
 )
 from dptomo.measurement_selector import (
-    CandidateScore,
     StoppingConfig,
     posterior_total_variance,
     predicted_average_variance,
@@ -202,30 +201,41 @@ class TestSelection:
     def test_scores_cover_unmeasured_candidates(self):
         post = _posterior([0.2, 0.3], [0.05, 0.08])
         scores = score_candidates(post, self._bank(), 40, exclude=(2,))
-        assert sorted(s.setting_index for s in scores) == [0, 1, 3]
-        assert all(isinstance(s, CandidateScore) for s in scores)
+        assert sorted(np.flatnonzero(np.isfinite(scores))) == [0, 1, 3]
+        assert isinstance(scores, np.ndarray) and scores.shape == (4,) and scores[2] == np.inf
 
     def test_tie_breaks_to_lowest_index(self):
         post = _posterior([0.2, 0.3], [0.05, 0.08])
-        scores = {s.setting_index: s.predicted_variance
-                  for s in score_candidates(post, self._bank(), 40)}
+        scores = score_candidates(post, self._bank(), 40)
         assert scores[1] == scores[3]
-        assert select_next(post, self._bank(), 40).setting_index == 1
+        assert select_next(post, self._bank(), 40)[0] == 1
 
     def test_excluding_best_picks_duplicate(self):
         post = _posterior([0.2, 0.3], [0.05, 0.08])
         best = select_next(post, self._bank(), 40, measured=(1,))
-        assert best.setting_index == 3
+        assert best[0] == 3
 
     def test_single_remaining_setting_is_forced(self):
         post = _posterior([0.2, 0.3], [0.05, 0.08])
         best = select_next(post, self._bank(), 40, measured=(1, 2, 3))
-        assert best.setting_index == 0
+        assert best[0] == 0
 
     def test_exhausted_bank_raises(self):
         post = _posterior([0.2, 0.3], [0.05, 0.08])
         with pytest.raises(ValueError):
             select_next(post, self._bank(), 40, measured=(0, 1, 2, 3))
+
+    def test_batch_scores_match_single_rows(self):
+        # scoring K rows together gives each row's score when scored alone
+        rng = np.random.default_rng(5)
+        post = GaussianPosterior(
+            A=np.array([[3.0, 0.4, 0.1], [0.4, 2.0, 0.2], [0.1, 0.2, 4.0]]),
+            b=np.array([0.9, 0.5, 0.7]),
+        )
+        bank = rng.uniform(0.0, 1.0, (7, 4))
+        batch = score_candidates(post, bank, 40)
+        single = [predicted_average_variance(post, row, 40) for row in bank]
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
     def test_bank_shape_validated(self):
         post = _posterior([0.2, 0.3], [0.05, 0.08])
@@ -237,9 +247,7 @@ class TestSelection:
         A0, b0 = post.A.copy(), post.b.copy()
         first = score_candidates(post, self._bank(), 40)
         second = score_candidates(post, self._bank(), 40)
-        assert [s.predicted_variance for s in first] == [
-            s.predicted_variance for s in second
-        ]
+        assert first.tolist() == second.tolist()
         select_next(post, self._bank(), 40)
         assert np.array_equal(post.A, A0) and np.array_equal(post.b, b0)
 
@@ -287,6 +295,6 @@ def test_scores_on_realistic_prior():
     bank = rng.uniform(0.0, 1.0, (6, 4))
     scores = score_candidates(post, bank, 100)
     best = select_next(post, bank, 100)
-    by_hand = min(scores, key=lambda s: (s.predicted_variance, s.setting_index))
-    assert best.setting_index == by_hand.setting_index
-    assert best.predicted_variance == by_hand.predicted_variance
+    by_hand = min(range(len(scores)), key=lambda k: (scores[k], k))
+    assert best[0] == by_hand
+    assert best[1] == scores[by_hand]
