@@ -8,7 +8,6 @@ from .quantum_model import (
     EvenCat,
     ProbeLattice,
     SingledPhotonFock,
-    TestKetSet,
     assemble_estimator,
     build_probe_lattice,
     build_test_kets,

@@ -51,6 +51,7 @@ from .pattern_bank import (
     simulate_probe_bank,
 )
 from .quantum_model import (
+    DEFAULT_CUTOFF,
     CoherentSignal,
     EvenCat,
     SingledPhotonFock,
@@ -113,6 +114,8 @@ class RunConfig:
             raise ValueError("stiffening parameters out of range")
         if self.gh_nodes < 2:
             raise ValueError("gh_nodes must be at least 2")
+        if not 0 <= self.fock_n_max < DEFAULT_CUTOFF:
+            raise ValueError(f"fock_n_max must lie in [0, {DEFAULT_CUTOFF}), got {self.fock_n_max}")
         check_seed(self.bank_seed)
         check_seed(self.signal_seed)
 
@@ -327,7 +330,8 @@ def run_reconstruction(config, bank=None):
 
     Deterministic given the config: the bank and every signal record
     come from counter-based streams keyed by the two seeds.  A bank
-    passed in explicitly must match the configured lattice.
+    passed in explicitly must match the configured lattice, bank seed and
+    pulse count, so that the config alone reproduces the run.
     """
     lattice = build_probe_lattice(config.side_count, config.spacing, config.center)
     if bank is None:
@@ -337,6 +341,12 @@ def run_reconstruction(config, bank=None):
             bank.probe_amplitudes, lattice.amplitudes
         ):
             raise ValueError("bank probes do not match the configured lattice")
+        if bank.seed != config.bank_seed:
+            raise ValueError(f"bank seed {bank.seed} does not match the configured "
+                             f"bank_seed {config.bank_seed}")
+        if bank.n_pulses != config.n_bank_pulses:
+            raise ValueError(f"bank n_pulses {bank.n_pulses} does not match the configured "
+                             f"n_bank_pulses {config.n_bank_pulses}")
     signal = config.signal()
     dim = lattice.n_probes - 1
     kets = build_test_kets(lattice, n_max=config.fock_n_max)
@@ -563,11 +573,17 @@ def export_report(trace, report, config, out_dir):
 
 
 def load_run(path):
-    """Reload run.json into (config, payload): its RunConfig and the whole parsed document."""
+    """Reload run.json into (config, payload): its RunConfig and the whole parsed document.
+
+    Raises ValueError when the document is not a JSON object with a config.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    config = RunConfig.from_dict(payload["config"])
-    return config, payload
+    if not isinstance(payload, dict):
+        raise ValueError("run.json must be a JSON object")
+    if "config" not in payload:
+        raise ValueError("run.json lacks key 'config'")
+    return RunConfig.from_dict(payload["config"]), payload
 
 
 # ---------------------------------------------------------------------------
@@ -694,28 +710,27 @@ def _cmd_report(args):
             f.name: payload.get(f.name) if f.name in later else payload[f.name]
             for f in fields(SelectionTrace) if f.name != "records"
         })
+        est = payload["estimator"]
+        report = EstimatorReport(
+            mean=np.asarray(est["mean"]),
+            covariance=np.asarray(est["covariance"]),
+            density=assemble_estimator(
+                np.asarray(est["mean"]),
+                build_probe_lattice(config.side_count, config.spacing, config.center),
+            ),
+            fidelity=est["fidelity"],
+            settings_used=est["settings_used"],
+            probabilities=[
+                (p["setting_index"], p["estimated"], p["measured"])
+                for p in est["probabilities"]
+            ],
+            clip_excess=est["clip_excess"],
+            final_variance=est["final_variance"],
+        )
     except KeyError as exc:
         raise ValueError(f"run.json lacks key {exc}") from exc
-    except TypeError as exc:  # a trace record whose keys are not StepRecord's
-        raise ValueError(f"run.json trace record: {exc}") from exc
-    est = payload["estimator"]
-    density = assemble_estimator(
-        np.asarray(est["mean"]),
-        build_probe_lattice(config.side_count, config.spacing, config.center),
-    )
-    report = EstimatorReport(
-        mean=np.asarray(est["mean"]),
-        covariance=np.asarray(est["covariance"]),
-        density=density,
-        fidelity=est["fidelity"],
-        settings_used=est["settings_used"],
-        probabilities=[
-            (p["setting_index"], p["estimated"], p["measured"])
-            for p in est["probabilities"]
-        ],
-        clip_excess=est["clip_excess"],
-        final_variance=est["final_variance"],
-    )
+    except TypeError as exc:  # e.g. a trace record whose keys are not StepRecord's
+        raise ValueError(f"malformed run.json: {exc}") from exc
     export_report(trace, report, config, args.out)
     status = "exhausted" if trace.exhausted else f"stopped after {trace.stop_step} settings"
     print(f"{len(records)} steps; {status}; fidelity {report.fidelity:.4f}")

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-# Fock truncation used for 41x41 density matrices and test kets.  The
-# probe amplitudes stay below |alpha| ~ 1.3, where population beyond
-# n = 40 is below 1e-50, so the cutoff is invisible at double precision.
+# The one Fock truncation: every Fock vector, test ket and density matrix
+# has this many components.  The probe amplitudes stay below |alpha| ~ 1.3,
+# where population beyond n = 40 is below 1e-50, so the cutoff is
+# invisible at double precision.
 DEFAULT_CUTOFF = 41
 
 ComplexAmplitude = complex
@@ -65,31 +66,13 @@ class ProbeLattice:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
-class TestKetSet:
-    """Kets used for the linear positivity constraints <psi|rho|psi> >= 0.
-
-    ``kets`` has one column per ket in the Fock basis; ``labels`` names
-    them.  Duplicate kets are excluded at construction.
-    """
-
-    kets: np.ndarray
-    labels: tuple
-
-    __test__ = False  # keeps pytest from collecting the class by name
-
-    @property
-    def count(self):
-        return self.kets.shape[1]
-
-
 class NonHermitianError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Fock-basis operator with a Hermiticity guard.
+    """DEFAULT_CUTOFF x DEFAULT_CUTOFF Fock-basis operator with a Hermiticity guard.
 
     The matrix is not required to be positive or normalized: estimators
     produced mid-reconstruction may be slightly unphysical, and callers
@@ -97,12 +80,11 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.shape != (self.cutoff, self.cutoff):
-            raise ValueError(f"matrix shape {m.shape} does not match cutoff {self.cutoff}")
+        if m.shape != (DEFAULT_CUTOFF, DEFAULT_CUTOFF):
+            raise ValueError(f"matrix shape {m.shape} does not match cutoff {DEFAULT_CUTOFF}")
         dev = np.abs(m - m.conj().T).max()
         if dev > 1e-12:
             raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
@@ -134,7 +116,7 @@ def signal_born_probability(signal, beta):
     """
     beta = np.asarray(beta)
     if isinstance(signal, CoherentSignal):
-        return np.exp(-np.abs(signal.alpha - beta) ** 2)
+        return coherent_overlap_prob(signal.alpha, beta)
     if isinstance(signal, SingledPhotonFock):
         b2 = np.abs(beta) ** 2
         return b2 * np.exp(-b2)
@@ -147,32 +129,32 @@ def signal_born_probability(signal, beta):
     raise TypeError(f"unknown signal state {signal!r}")
 
 
-def coherent_fock_vector(alpha, cutoff=DEFAULT_CUTOFF):
+def coherent_fock_vector(alpha):
     """Fock-basis expansion of |alpha>, computed in log space for stability."""
-    n = np.arange(cutoff)
+    n = np.arange(DEFAULT_CUTOFF)
     if alpha == 0:
-        v = np.zeros(cutoff, dtype=complex)
+        v = np.zeros(DEFAULT_CUTOFF, dtype=complex)
         v[0] = 1.0
         return v
     logmag = -abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
     return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
 
 
-def even_cat_fock_vector(alpha, cutoff=DEFAULT_CUTOFF):
-    v = coherent_fock_vector(alpha, cutoff) + coherent_fock_vector(-alpha, cutoff)
+def even_cat_fock_vector(alpha):
+    v = coherent_fock_vector(alpha) + coherent_fock_vector(-alpha)
     return v / np.sqrt(2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)))
 
 
-def signal_fock_vector(signal, cutoff=DEFAULT_CUTOFF):
+def signal_fock_vector(signal):
     """Fock-basis ket of a pure signal state."""
     if isinstance(signal, CoherentSignal):
-        return coherent_fock_vector(signal.alpha, cutoff)
+        return coherent_fock_vector(signal.alpha)
     if isinstance(signal, SingledPhotonFock):
-        v = np.zeros(cutoff, dtype=complex)
+        v = np.zeros(DEFAULT_CUTOFF, dtype=complex)
         v[1] = 1.0
         return v
     if isinstance(signal, EvenCat):
-        return even_cat_fock_vector(signal.alpha, cutoff)
+        return even_cat_fock_vector(signal.alpha)
     raise TypeError(f"unknown signal state {signal!r}")
 
 
@@ -207,32 +189,24 @@ def probe_gram(lattice):
     tr(rho_m rho_n) = |<alpha_m|alpha_n>|^2 = exp(-|alpha_m - alpha_n|^2).
     """
     a = lattice.amplitudes
-    return np.exp(-np.abs(a[:, None] - a[None, :]) ** 2)
+    return coherent_overlap_prob(a[:, None], a[None, :])
 
 
-def build_test_kets(lattice, n_max=40, cutoff=DEFAULT_CUTOFF):
-    """Fock kets |0>..|n_max> plus one coherent ket per probe.
+def build_test_kets(lattice, n_max=40):
+    """Kets for the positivity constraints <psi|rho|psi> >= 0, one per column.
 
+    Fock kets |0>..|n_max> come first, then one coherent ket per probe.
     A probe sitting exactly at the origin duplicates the vacuum Fock ket
     and is skipped so the set contains no repeated directions.
     """
-    if n_max >= cutoff:
-        raise ValueError("n_max must stay below the Fock cutoff")
-    cols = []
-    labels = []
-    eye = np.eye(cutoff, dtype=complex)
-    for n in range(n_max + 1):
-        cols.append(eye[:, n])
-        labels.append(f"fock{n}")
-    for m, alpha in enumerate(lattice.amplitudes):
-        if alpha == 0:
-            continue  # identical to fock0
-        cols.append(coherent_fock_vector(alpha, cutoff))
-        labels.append(f"probe{m}")
-    return TestKetSet(kets=np.stack(cols, axis=1), labels=tuple(labels))
+    if not 0 <= n_max < DEFAULT_CUTOFF:
+        raise ValueError(f"n_max must lie in [0, {DEFAULT_CUTOFF}), got {n_max}")
+    fock = np.eye(DEFAULT_CUTOFF, n_max + 1, dtype=complex)
+    probes = [coherent_fock_vector(a) for a in lattice.amplitudes if a != 0]
+    return np.concatenate([fock, np.stack(probes, axis=1)], axis=1)
 
 
-def constraint_coefficients(lattice, ket_set):
+def constraint_coefficients(lattice, kets):
     """Linear positivity data (V, u) in the free coefficients.
 
     For each test ket the expectation q_i(m) = <psi_i|rho_m|psi_i> gives
@@ -240,15 +214,15 @@ def constraint_coefficients(lattice, ket_set):
     coefficient c_M = 1 - sum c_m turns it into v_i . c >= u_i with
     v_{i,m} = q_i(m) - q_i(M) and u_i = -q_i(M).
     """
-    probes = np.stack([coherent_fock_vector(a, ket_set.kets.shape[0]) for a in lattice.amplitudes], axis=1)
-    q = np.abs(ket_set.kets.conj().T @ probes) ** 2  # kets x probes
+    probes = np.stack([coherent_fock_vector(a) for a in lattice.amplitudes], axis=1)
+    q = np.abs(kets.conj().T @ probes) ** 2  # kets x probes
     return q[:, :-1] - q[:, -1:], -q[:, -1]
 
 
 # ---------------------------------------------------------------------------
 # estimator assembly
 
-def assemble_estimator(free_coefficients, lattice, cutoff=DEFAULT_CUTOFF):
+def assemble_estimator(free_coefficients, lattice):
     """Build the Fock-basis density matrix from the free coefficients.
 
     The dependent weight c_M = 1 - sum(free) restores unit trace in the
@@ -261,30 +235,23 @@ def assemble_estimator(free_coefficients, lattice, cutoff=DEFAULT_CUTOFF):
     if c.size != lat.size - 1:
         raise ValueError(f"expected {lat.size - 1} free coefficients, got {c.size}")
     full = np.concatenate([c, [1.0 - c.sum()]])
-    kets = np.stack([coherent_fock_vector(a, cutoff) for a in lat], axis=1)
+    kets = np.stack([coherent_fock_vector(a) for a in lat], axis=1)
     rho = (kets * full) @ kets.conj().T
     rho = (rho + rho.conj().T) / 2.0  # scrub rounding asymmetry, not structure
     leak = abs(np.trace(rho).real - 1.0)
     if leak > 1e-6:
-        warnings.warn(f"Fock truncation leaks {leak:.2e} of trace at cutoff {cutoff}")
-    return DensityMatrix(matrix=rho, cutoff=cutoff)
+        warnings.warn(f"Fock truncation leaks {leak:.2e} of trace at cutoff {DEFAULT_CUTOFF}")
+    return DensityMatrix(matrix=rho)
 
 
 def fidelity(psi, rho):
     """Overlap <psi|rho|psi> of a pure state with a density operator.
 
-    ``rho`` may be a DensityMatrix or a raw Fock-basis array; raw input
-    is held to the same 1e-12 Hermiticity tolerance.  The value is the
-    real overlap itself, so a slightly unphysical estimator can score
-    marginally above 1.
+    ``rho`` may be a DensityMatrix or a raw Fock-basis array, which is
+    checked by wrapping it in one.  The value is the real overlap itself,
+    so a slightly unphysical estimator can score marginally above 1.
     """
-    if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-    else:
-        m = np.asarray(rho)
-        dev = np.abs(m - m.conj().T).max()
-        if dev > 1e-12:
-            raise NonHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
+    m = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(np.asarray(rho))).matrix
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != m.shape[0]:
         raise ValueError("ket and operator cutoffs disagree")

@@ -76,6 +76,8 @@ class TestRunConfig:
             dict(stiffening_tau=-1.0),
             dict(stiffening_cutoff=2.0),
             dict(gh_nodes=1),
+            dict(fock_n_max=-1),
+            dict(fock_n_max=41),
         ],
     )
     def test_validation(self, overrides):
@@ -270,6 +272,13 @@ class TestPipeline:
         bank = simulate_probe_bank(lat, None, 400, 3)
         with pytest.raises(ValueError, match="match"):
             run_reconstruction(_small_config(), bank=bank)
+        # the configured lattice with another seed or pulse count: run.json
+        # would record a bank the run did not use
+        lat = build_probe_lattice(3, 0.9)
+        for bank, named in ((simulate_probe_bank(lat, None, 400, 5), "bank_seed"),
+                            (simulate_probe_bank(lat, None, 300, 3), "n_bank_pulses")):
+            with pytest.raises(ValueError, match=named):
+                run_reconstruction(_small_config(), bank=bank)
 
     def test_max_settings_budget(self):
         trace, report = run_reconstruction(_small_config(max_settings=4))
@@ -398,8 +407,12 @@ class TestExport:
             (lambda d: d.pop("exhausted"), "'exhausted'"),
             (lambda d: d["trace"][0].update(select_s=0.1), "'select_s'"),
             (lambda d: d["trace"][0].pop("frequency"), "'frequency'"),
+            (lambda d: d.pop("config"), "'config'"),
+            (lambda d: d.pop("estimator"), "'estimator'"),
+            (lambda d: d["estimator"].pop("fidelity"), "'fidelity'"),
         ],
-        ids=["trace-key-missing", "record-key-unknown", "record-key-missing"],
+        ids=["trace-key-missing", "record-key-unknown", "record-key-missing",
+             "config-missing", "estimator-missing", "estimator-key-missing"],
     )
     def test_report_refuses_malformed_trace(self, exported, tmp_path, capsys, patch, named):
         _, _, _, _, run_path = exported
@@ -410,6 +423,14 @@ class TestExport:
         assert main(["report", "--run", str(bad), "--out", str(tmp_path / "csv")]) == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and named in err
+        assert "Traceback" not in err
+
+    def test_report_refuses_non_object_run_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([1, 2]))
+        assert main(["report", "--run", str(bad), "--out", str(tmp_path / "csv")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "JSON object" in err
         assert "Traceback" not in err
 
     def test_report_reads_run_json_with_epsilon_total(self, exported, tmp_path):

@@ -18,7 +18,6 @@ from dptomo.quantum_model import (
     probe_gram,
     signal_born_probability,
     signal_fock_vector,
-    TestKetSet,
 )
 from dptomo.state_space_shearing import LinearConstraintSet
 
@@ -140,8 +139,8 @@ def test_test_ket_set_drops_origin_duplicate():
     lat = build_probe_lattice(3, 1.0, 0.0)
     kets = build_test_kets(lat)
     # 41 Fock kets plus 9 probes minus the origin probe equal to |0>
-    assert kets.count == 41 + 9 - 1
-    overlaps = np.abs(kets.kets.conj().T @ kets.kets)
+    assert kets.shape[1] == 41 + 9 - 1
+    overlaps = np.abs(kets.conj().T @ kets)
     off = overlaps - np.diag(np.diag(overlaps))
     assert off.max() < 1.0 - 1e-9  # no two kets parallel
 
@@ -150,20 +149,19 @@ def test_constraint_coefficients_shapes_and_offsets():
     lat = build_probe_lattice(3, 1.0, 0.0)
     kets = build_test_kets(lat, n_max=5)
     v, u = constraint_coefficients(lat, kets)
-    assert v.shape == (kets.count, lat.n_probes - 1)  # no degenerate rows here
+    assert v.shape == (kets.shape[1], lat.n_probes - 1)  # no degenerate rows here
     # offsets are minus the ket expectation against the last probe
-    q_last = np.abs(kets.kets.conj().T @ coherent_fock_vector(lat.amplitudes[-1])) ** 2
+    q_last = np.abs(kets.conj().T @ coherent_fock_vector(lat.amplitudes[-1])) ** 2
     assert np.allclose(u, -q_last, rtol=0, atol=1e-14)
     # and each row is the expectation difference for the first probe
-    q_first = np.abs(kets.kets.conj().T @ coherent_fock_vector(lat.amplitudes[0])) ** 2
+    q_first = np.abs(kets.conj().T @ coherent_fock_vector(lat.amplitudes[0])) ** 2
     assert np.allclose(v[:, 0], q_first - q_last, rtol=0, atol=1e-14)
 
 
 def test_constraint_coefficients_drop_zero_rows():
     lat = build_probe_lattice(3, 1.0, 0.0)
     dead = np.zeros((41, 1), dtype=complex)  # a null ket sees nothing
-    kets = TestKetSet(kets=dead, labels=("null",))
-    assert LinearConstraintSet(*constraint_coefficients(lat, kets)).count == 0
+    assert LinearConstraintSet(*constraint_coefficients(lat, dead)).count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +184,11 @@ def test_assemble_estimator_checks_length():
 
 
 def test_assemble_estimator_warns_on_truncation_leak():
-    lat = build_probe_lattice(3, 1.5, 0.0)
+    # the corner probes, at |alpha|^2 = 32, leak 3.1e-2 of the trace past n = 40
+    lat = build_probe_lattice(3, 4.0, 0.0)
     w = np.full(8, 1.0 / 9)
-    with pytest.warns(UserWarning):
-        assemble_estimator(w, lat, cutoff=4)
+    with pytest.warns(UserWarning, match="3.1[0-9]e-02"):
+        assemble_estimator(w, lat)
 
 
 def test_density_matrix_rejects_non_hermitian():
