@@ -30,7 +30,6 @@ from .gaussian_posterior import (
     GaussianPosterior,
     bayes_update,
     beta_moments,
-    gaussian_outside_mass,
     init_prior,
     moments,
 )
@@ -46,7 +45,6 @@ from .state_space_shearing import (
 )
 from .measurement_selector import (
     StoppingConfig,
-    posterior_total_variance,
     predicted_average_variance,
     predictive_outcome_dist,
     score_candidates,

@@ -119,6 +119,9 @@ class RunConfig:
         check_seed(self.bank_seed)
         check_seed(self.signal_seed)
 
+    def lattice(self):
+        return build_probe_lattice(self.side_count, self.spacing, self.center)
+
     def signal(self):
         if self.signal_kind == "coherent":
             return CoherentSignal(self.signal_alpha)
@@ -325,29 +328,41 @@ def _stiffened_prior(prior, lattice, setting_amplitudes, tau, sv_cutoff):
     return GaussianPosterior(A=prior.A + tau * null_proj, b=prior.b), rank
 
 
+def bank_for(config, lattice, bank=None):
+    """The bank a run on ``config`` uses: a fresh simulation, or ``bank`` once its
+    probes, seed and pulse count match the config, so that the config alone
+    reproduces the run (a mismatch raises ValueError naming the config field)."""
+    if bank is None:
+        return simulate_probe_bank(lattice, None, config.n_bank_pulses, config.bank_seed)
+    if bank.n_probes != lattice.n_probes or not np.allclose(
+        bank.probe_amplitudes, lattice.amplitudes
+    ):
+        raise ValueError(f"bank probes do not match the configured lattice (side_count "
+                         f"{config.side_count}, spacing {config.spacing}, center {config.center})")
+    if bank.seed != config.bank_seed:
+        raise ValueError(f"bank seed {bank.seed} does not match the configured "
+                         f"bank_seed {config.bank_seed}")
+    if bank.n_pulses != config.n_bank_pulses:
+        raise ValueError(f"bank n_pulses {bank.n_pulses} does not match the configured "
+                         f"n_bank_pulses {config.n_bank_pulses}")
+    return bank
+
+
+def signal_meter(config, bank):
+    """The config's signal, measured at the bank's settings with its signal seed."""
+    return SignalMeter(config.signal(), bank.setting_amplitudes, config.n_signal_pulses,
+                       config.signal_seed)
+
+
 def run_reconstruction(config, bank=None):
     """Run one adaptive reconstruction; returns (trace, report).
 
     Deterministic given the config: the bank and every signal record
     come from counter-based streams keyed by the two seeds.  A bank
-    passed in explicitly must match the configured lattice, bank seed and
-    pulse count, so that the config alone reproduces the run.
+    passed in explicitly must pass ``bank_for``'s checks.
     """
-    lattice = build_probe_lattice(config.side_count, config.spacing, config.center)
-    if bank is None:
-        bank = simulate_probe_bank(lattice, None, config.n_bank_pulses, config.bank_seed)
-    else:
-        if bank.n_probes != lattice.n_probes or not np.allclose(
-            bank.probe_amplitudes, lattice.amplitudes
-        ):
-            raise ValueError("bank probes do not match the configured lattice")
-        if bank.seed != config.bank_seed:
-            raise ValueError(f"bank seed {bank.seed} does not match the configured "
-                             f"bank_seed {config.bank_seed}")
-        if bank.n_pulses != config.n_bank_pulses:
-            raise ValueError(f"bank n_pulses {bank.n_pulses} does not match the configured "
-                             f"n_bank_pulses {config.n_bank_pulses}")
-    signal = config.signal()
+    lattice = config.lattice()
+    bank = bank_for(config, lattice, bank)
     dim = lattice.n_probes - 1
     kets = build_test_kets(lattice, n_max=config.fock_n_max)
     v, u = constraint_coefficients(lattice, kets)
@@ -361,12 +376,8 @@ def run_reconstruction(config, bank=None):
         )
     post, init_report = shear_until_physical(post, constraints, config.shearing)
 
-    meter = SignalMeter(
-        signal=signal,
-        setting_amplitudes=bank.setting_amplitudes,
-        n_pulses=config.n_signal_pulses,
-        seed=config.signal_seed,
-    )
+    meter = signal_meter(config, bank)
+    signal = meter.signal
     freqs = bank.frequencies()
     n_s = config.n_signal_pulses
     budget = bank.n_settings if config.max_settings is None else min(
@@ -494,6 +505,16 @@ def lsq_baseline(bank, signal_frequencies):
     return np.linalg.solve(gram + 1e-10 * np.eye(g.shape[1]), g.T @ rhs)
 
 
+def fit_baseline(config, lattice, bank):
+    """Measure every setting once and fit ``lsq_baseline``; returns
+    (coefficients, density, fidelity to the config's signal)."""
+    meter = signal_meter(config, bank)
+    all_freqs = np.array([meter.measure_signal(k) for k in range(bank.n_settings)])
+    coeffs = lsq_baseline(bank, all_freqs)
+    density = assemble_estimator(coeffs, lattice)
+    return coeffs, density, fidelity(signal_fock_vector(meter.signal), density)
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -611,6 +632,7 @@ def _build_parser():
     bank_sub = p_bank.add_subparsers(dest="bank_command", required=True)
     p_gen = bank_sub.add_parser("generate", help="simulate and store a pattern bank")
     add_common(p_gen)
+    p_gen.set_defaults(command_fn=_cmd_bank_generate)
 
     p_run = sub.add_parser("run", help="adaptive reconstruction")
     add_common(p_run)
@@ -618,14 +640,17 @@ def _build_parser():
     p_run.add_argument("--continue-past-stop", action="store_true")
     p_run.add_argument("--strict-paper-sigma", action="store_true")
     p_run.add_argument("--abs-deviation-shearing", action="store_true")
+    p_run.set_defaults(command_fn=_cmd_run)
 
     p_base = sub.add_parser("baseline", help="least-squares fit from all settings")
     add_common(p_base)
     p_base.add_argument("--bank", help="use a stored bank instead of simulating")
+    p_base.set_defaults(command_fn=_cmd_baseline)
 
     p_rep = sub.add_parser("report", help="regenerate CSV outputs from run.json")
     p_rep.add_argument("--run", required=True, help="path to run.json")
     p_rep.add_argument("--out", default="out", help="output directory")
+    p_rep.set_defaults(command_fn=_cmd_report)
     return parser
 
 
@@ -649,8 +674,7 @@ def _config_from_args(args):
 
 def _cmd_bank_generate(args):
     config = _config_from_args(args)
-    lattice = build_probe_lattice(config.side_count, config.spacing, config.center)
-    bank = simulate_probe_bank(lattice, None, config.n_bank_pulses, config.bank_seed)
+    bank = bank_for(config, config.lattice())
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bank.json")
     save_bank(bank, path)
@@ -672,21 +696,9 @@ def _cmd_run(args):
 
 def _cmd_baseline(args):
     config = _config_from_args(args)
-    lattice = build_probe_lattice(config.side_count, config.spacing, config.center)
-    if args.bank:
-        bank = load_bank(args.bank)
-    else:
-        bank = simulate_probe_bank(lattice, None, config.n_bank_pulses, config.bank_seed)
-    meter = SignalMeter(
-        signal=config.signal(),
-        setting_amplitudes=bank.setting_amplitudes,
-        n_pulses=config.n_signal_pulses,
-        seed=config.signal_seed,
-    )
-    all_freqs = np.array([meter.measure_signal(k) for k in range(bank.n_settings)])
-    coeffs = lsq_baseline(bank, all_freqs)
-    density = assemble_estimator(coeffs, lattice)
-    fid = fidelity(signal_fock_vector(config.signal()), density)
+    lattice = config.lattice()
+    bank = bank_for(config, lattice, load_bank(args.bank) if args.bank else None)
+    coeffs, density, fid = fit_baseline(config, lattice, bank)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "baseline.json")
     with open(path, "w") as fh:
@@ -714,10 +726,7 @@ def _cmd_report(args):
         report = EstimatorReport(
             mean=np.asarray(est["mean"]),
             covariance=np.asarray(est["covariance"]),
-            density=assemble_estimator(
-                np.asarray(est["mean"]),
-                build_probe_lattice(config.side_count, config.spacing, config.center),
-            ),
+            density=assemble_estimator(np.asarray(est["mean"]), config.lattice()),
             fidelity=est["fidelity"],
             settings_used=est["settings_used"],
             probabilities=[
@@ -741,15 +750,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bank":
-            return _cmd_bank_generate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "baseline":
-            return _cmd_baseline(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.command_fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erf
 
 SIGMA2_FLOOR = 1e-15
 
@@ -104,17 +103,3 @@ def moments(post):
     mean = cho_solve(factor, post.b) / 2.0
     return mean, cov
 
-
-def gaussian_outside_mass(post, lower=0.0, upper=1.0):
-    """Posterior mass outside the box [lower, upper]^dim.
-
-    Exact in one dimension.  In higher dimensions it is computed from
-    the per-axis marginals as 1 - prod(inside_i), which ignores
-    correlations but is the quantity the approximation checks gate on.
-    """
-    mean, cov = moments(post)
-    sd = np.sqrt(np.diag(cov))
-    z_hi = (upper - mean) / (sd * np.sqrt(2.0))
-    z_lo = (lower - mean) / (sd * np.sqrt(2.0))
-    inside = 0.5 * (erf(z_hi) - erf(z_lo))
-    return float(1.0 - np.prod(inside))

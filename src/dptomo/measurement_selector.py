@@ -39,12 +39,6 @@ class StoppingConfig:
             raise ValueError("consecutive must be at least 1")
 
 
-def posterior_total_variance(post):
-    """Total coefficient variance, the trace of Sigma = (2A)^-1."""
-    _, cov = moments(post)
-    return float(np.trace(cov))
-
-
 def _predictive_pmf(m_p, s_p, n_shots, n_nodes):
     # Gauss-Hermite in the standardized variable: P = m_p + sqrt(2) s_p x
     x, w = np.polynomial.hermite.hermgauss(n_nodes)

@@ -18,6 +18,7 @@ table for plotting.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,11 @@ class CountRangeError(BankFormatError):
 
 
 def check_seed(seed):
-    """Refuse a seed outside [-2**63, 2**63); Philox would read it through float64."""
+    """Refuse a seed that is not an integer (a bool is not one) or lies outside
+    [-2**63, 2**63): a float would replay the streams of its integer part, and
+    Philox would read a seed outside the range through float64."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed {seed!r} is not an integer")
     if not -2**63 <= int(seed) < 2**63:
         raise ValueError(f"seed {seed} outside [-2**63, 2**63)")
 
@@ -174,9 +179,6 @@ class SignalMeter:
             self._cache[k] = n / float(self.n_pulses)
         return self._cache[k]
 
-    def true_probability(self, setting_index):
-        return float(self._probs[int(setting_index)])
-
 
 # ---------------------------------------------------------------------------
 # persistence
@@ -214,11 +216,6 @@ def load_bank(path):
         counts = np.asarray(payload["counts"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise BankFormatError(f"malformed bank file: {exc}") from exc
-    if counts.ndim != 2 or counts.shape != (settings.size, probes.size):
-        raise DimensionMismatchError(
-            f"counts shape {counts.shape} does not match "
-            f"{settings.size} settings x {probes.size} probes"
-        )
     return PatternBank(
         probe_amplitudes=probes,
         setting_amplitudes=settings,

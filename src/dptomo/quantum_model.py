@@ -112,7 +112,7 @@ def signal_born_probability(signal, beta):
     """Probability of finding the signal in the coherent projector |beta>.
 
     Closed forms per state family; the even-cat normalization
-    2*(1 + exp(-2|alpha|^2)) is analytic, not numerical.
+    ``_even_cat_norm2`` is analytic, not numerical.
     """
     beta = np.asarray(beta)
     if isinstance(signal, CoherentSignal):
@@ -125,7 +125,7 @@ def signal_born_probability(signal, beta):
         pref = -(abs(a) ** 2 + np.abs(beta) ** 2) / 2.0
         ov_p = np.exp(pref + np.conj(beta) * a)
         ov_m = np.exp(pref - np.conj(beta) * a)
-        return np.abs(ov_p + ov_m) ** 2 / (2.0 * (1.0 + np.exp(-2.0 * abs(a) ** 2)))
+        return np.abs(ov_p + ov_m) ** 2 / _even_cat_norm2(a)
     raise TypeError(f"unknown signal state {signal!r}")
 
 
@@ -140,9 +140,14 @@ def coherent_fock_vector(alpha):
     return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
 
 
+def _even_cat_norm2(alpha):
+    """Squared norm 2(1 + exp(-2|alpha|^2)) of |alpha> + |-alpha>."""
+    return 2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2))
+
+
 def even_cat_fock_vector(alpha):
     v = coherent_fock_vector(alpha) + coherent_fock_vector(-alpha)
-    return v / np.sqrt(2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)))
+    return v / np.sqrt(_even_cat_norm2(alpha))
 
 
 def signal_fock_vector(signal):

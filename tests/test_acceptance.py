@@ -17,7 +17,6 @@ from dptomo.gaussian_posterior import (
     GaussianPosterior,
     bayes_update,
     beta_moments,
-    gaussian_outside_mass,
     init_prior,
     moments,
 )
@@ -43,6 +42,7 @@ from dptomo.state_space_shearing import (
 )
 
 from exact_oracle import exact_moments_oracle
+from helpers import gaussian_outside_mass
 
 _SEEDS = [(b, 1000 + b) for b in range(1, 6)]
 

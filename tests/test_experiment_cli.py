@@ -17,6 +17,7 @@ from dptomo.experiment_cli import (
     RunConfig,
     SelectionTrace,
     StepRecord,
+    bank_for,
     export_report,
     hs_distance_to_truth,
     load_config,
@@ -78,6 +79,9 @@ class TestRunConfig:
             dict(gh_nodes=1),
             dict(fock_n_max=-1),
             dict(fock_n_max=41),
+            dict(bank_seed=1.5),
+            dict(bank_seed=2.0),
+            dict(signal_seed=True),
         ],
     )
     def test_validation(self, overrides):
@@ -220,6 +224,28 @@ class TestLsqBaseline:
         bank = simulate_probe_bank(lat, None, 500, 21)
         coeffs = lsq_baseline(bank, bank.frequencies()[:, 4])
         assert coeffs.shape == (8,)
+
+
+# config fields a supplied bank can disagree on, and the override that does
+_BANK_MISMATCHES = [("spacing", dict(spacing=0.7)), ("bank_seed", dict(bank_seed=5)),
+                    ("n_bank_pulses", dict(n_bank_pulses=300))]
+
+
+class TestBankFor:
+    def test_simulates_or_passes_a_matching_bank(self):
+        config = _small_config()
+        bank = bank_for(config, config.lattice())
+        again = simulate_probe_bank(build_probe_lattice(3, 0.9), None, 400, 3)
+        assert np.array_equal(bank.counts, again.counts)
+        assert bank_for(config, config.lattice(), again) is again
+
+    @pytest.mark.parametrize("named, overrides", _BANK_MISMATCHES)
+    def test_refuses_a_mismatched_bank(self, named, overrides):
+        other = _small_config(**overrides)
+        bank = bank_for(other, other.lattice())
+        config = _small_config()
+        with pytest.raises(ValueError, match=named):
+            bank_for(config, config.lattice(), bank)
 
 
 class TestPipeline:
@@ -520,6 +546,19 @@ class TestCommandLine:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("named, overrides", _BANK_MISMATCHES)
+    def test_baseline_refuses_mismatched_bank(self, tmp_path, capsys, named, overrides):
+        bank_out = tmp_path / "bank"
+        other = self._config_file(tmp_path, **overrides)
+        assert main(["bank", "generate", "--config", other, "--out", str(bank_out)]) == 0
+        cfg = self._config_file(tmp_path)
+        code = main(["baseline", "--config", cfg, "--bank", str(bank_out / "bank.json"),
+                     "--out", str(tmp_path / "base")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and named in err
+        assert not (tmp_path / "base").exists()
 
     def test_bad_config_value_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,12 +8,12 @@ from dptomo.gaussian_posterior import (
     GaussianPosterior,
     bayes_update,
     beta_moments,
-    gaussian_outside_mass,
     init_prior,
     moments,
 )
 
 from exact_oracle import exact_moments_oracle
+from helpers import gaussian_outside_mass
 
 
 def test_prior_shape_and_moments():

@@ -20,13 +20,14 @@ from dptomo.gaussian_posterior import (
 )
 from dptomo.measurement_selector import (
     StoppingConfig,
-    posterior_total_variance,
     predicted_average_variance,
     predictive_outcome_dist,
     score_candidates,
     select_next,
     stopping_check,
 )
+
+from helpers import posterior_total_variance
 
 
 def _posterior(mean, var):
