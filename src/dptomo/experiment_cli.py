@@ -16,8 +16,7 @@ directions invisible to every setting would otherwise keep their huge
 prior variance forever, drowning the stopping statistic.  Those null
 directions are pinned by a stiff quadratic term at initialization; they
 are exactly the directions the measurements cannot inform, so pinning
-them changes no observable prediction.  Disable with
-``null_stiffening=False`` to recover the purely isotropic prior.
+them changes no observable prediction.
 """
 
 import argparse
@@ -51,7 +50,6 @@ from .pattern_bank import (
     simulate_probe_bank,
 )
 from .quantum_model import (
-    DEFAULT_CUTOFF,
     CoherentSignal,
     EvenCat,
     SingledPhotonFock,
@@ -89,33 +87,19 @@ class RunConfig:
     n_signal_pulses: int = 1000
     bank_seed: int = 1
     signal_seed: int = 1001
-    epsilon_reg: float = 1e-6
     shearing: ShearingConfig = field(default_factory=ShearingConfig)
     stopping: StoppingConfig = field(default_factory=StoppingConfig)
     max_settings: int | None = None
     continue_past_stop: bool = False
     strict_paper_sigma: bool = False
-    null_stiffening: bool = True
-    stiffening_tau: float = 5e3
-    stiffening_cutoff: float = 1e-6
-    gh_nodes: int = 32
-    fock_n_max: int = 40
 
     def __post_init__(self):
         if self.signal_kind not in ("coherent", "fock1", "even_cat"):
             raise ValueError(f"unknown signal kind {self.signal_kind!r}")
         if self.n_bank_pulses < 1 or self.n_signal_pulses < 1:
             raise ValueError("pulse counts must be positive")
-        if self.epsilon_reg <= 0:
-            raise ValueError("epsilon_reg must be positive")
         if self.max_settings is not None and self.max_settings < 1:
             raise ValueError("max_settings must be positive when given")
-        if self.stiffening_tau <= 0 or not 0 < self.stiffening_cutoff < 1:
-            raise ValueError("stiffening parameters out of range")
-        if self.gh_nodes < 2:
-            raise ValueError("gh_nodes must be at least 2")
-        if not 0 <= self.fock_n_max < DEFAULT_CUTOFF:
-            raise ValueError(f"fock_n_max must lie in [0, {DEFAULT_CUTOFF}), got {self.fock_n_max}")
         check_seed(self.bank_seed)
         check_seed(self.signal_seed)
 
@@ -153,9 +137,19 @@ class RunConfig:
 
 # JSON keys of the one block that groups fields instead of mirroring a dataclass
 _SIGNAL_KEYS = {"signal_kind": "kind", "signal_alpha": "alpha"}
-# Keys older versions wrote that configure nothing, skipped so that their
-# run.json files still reload: no algorithm read shearing.epsilon_total.
-_RETIRED_KEYS = {"shearing.epsilon_total"}
+# Keys older versions wrote, with the one value each always had: an old config
+# or run.json that holds it still loads, and any other value is refused rather
+# than run silently on the fixed setting.  None admits any value, because no
+# algorithm ever read shearing.epsilon_total.
+_RETIRED_KEYS = {
+    "shearing.epsilon_total": None,
+    "epsilon_reg": 1e-6,
+    "null_stiffening": True,
+    "stiffening_tau": 5e3,
+    "stiffening_cutoff": 1e-6,
+    "gh_nodes": 32,
+    "fock_n_max": 40,
+}
 # The JSON types each field annotation admits; a bool fits only bool although
 # Python counts it as an int, and complex is read from [re, im]
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), complex: ()}
@@ -185,6 +179,10 @@ def _read_fields(cls, data, where, names=None):
     for key, value in data.items():
         path = where + key
         if path in _RETIRED_KEYS:
+            former = _RETIRED_KEYS[path]
+            if former is not None and _read_value(type(former), value, path) != former:
+                raise ValueError(f"config key {path!r} is retired; only its former "
+                                 f"value {json.dumps(former)} is accepted, got {json.dumps(value)}")
             continue
         if key not in names:
             raise ValueError(f"unknown config key {path!r}")
@@ -310,22 +308,31 @@ def _hs_distance(mean, cov, s_red, c_star, residual):
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _stiffened_prior(prior, lattice, setting_amplitudes, tau, sv_cutoff):
+# Gives each pinned direction a prior standard deviation of 1/sqrt(2 tau) = 0.01,
+# against about 700 under the flat prior's epsilon = 1e-6.
+_STIFFENING_TAU = 5e3
+# Directions below this share of the largest singular value count as invisible
+# to every setting; 26 of 120 stay visible on the default 11x11 lattice.
+_STIFFENING_CUTOFF = 1e-6
+
+
+def _stiffened_prior(prior, lattice, setting_amplitudes):
     """Pin the pattern-null coefficient directions of the prior.
 
     The centered exact patterns G0 (settings x free coefficients) are
     decomposed by SVD; directions whose singular value falls below
-    ``sv_cutoff`` times the largest are invisible to every setting, and
-    the prior gets a stiff tau * (I - Vr Vr^T) added so they start, and
-    stay, pinned near zero instead of wandering at prior scale.
+    ``_STIFFENING_CUTOFF`` times the largest are invisible to every
+    setting, and the prior gets a stiff ``_STIFFENING_TAU`` * (I - Vr Vr^T)
+    added so they start, and stay, pinned near zero instead of wandering
+    at prior scale.
     """
     p_exact = coherent_overlap_prob(lattice.amplitudes[None, :], setting_amplitudes[:, None])
     g0 = p_exact[:, :-1] - p_exact[:, -1:]
     _, sv, vt = np.linalg.svd(g0, full_matrices=True)
-    rank = int((sv >= sv_cutoff * sv[0]).sum())
+    rank = int((sv >= _STIFFENING_CUTOFF * sv[0]).sum())
     vr = vt[:rank]
     null_proj = np.eye(prior.dim) - vr.T @ vr
-    return GaussianPosterior(A=prior.A + tau * null_proj, b=prior.b), rank
+    return GaussianPosterior(A=prior.A + _STIFFENING_TAU * null_proj, b=prior.b)
 
 
 def bank_for(config, lattice, bank=None):
@@ -364,16 +371,10 @@ def run_reconstruction(config, bank=None):
     lattice = config.lattice()
     bank = bank_for(config, lattice, bank)
     dim = lattice.n_probes - 1
-    kets = build_test_kets(lattice, n_max=config.fock_n_max)
-    v, u = constraint_coefficients(lattice, kets)
+    v, u = constraint_coefficients(lattice, build_test_kets(lattice))
     constraints = LinearConstraintSet(v, u)
 
-    post = init_prior(dim, config.epsilon_reg)
-    if config.null_stiffening:
-        post, _ = _stiffened_prior(
-            post, lattice, bank.setting_amplitudes,
-            config.stiffening_tau, config.stiffening_cutoff,
-        )
+    post = _stiffened_prior(init_prior(dim), lattice, bank.setting_amplitudes)
     post, init_report = shear_until_physical(post, constraints, config.shearing)
 
     meter = signal_meter(config, bank)
@@ -399,8 +400,7 @@ def run_reconstruction(config, bank=None):
 
     for k in range(1, budget + 1):
         best, predicted = select_next(
-            post, freqs, n_s, measured,
-            n_nodes=config.gh_nodes, strict_paper=config.strict_paper_sigma,
+            post, freqs, n_s, measured, strict_paper=config.strict_paper_sigma,
         )
         history.append((predicted, var_prev))
         if stop_step is None and stopping_check(history, config.stopping):
@@ -539,11 +539,9 @@ def _git_revision():
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def export_report(trace, report, config, out_dir):
-    """Write run.json plus the four plot-ready CSV files into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    run_path = os.path.join(out_dir, "run.json")
-    payload = {
+def run_payload(trace, report, config):
+    """The run.json document of a run: provenance, config, trace and estimator."""
+    return {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "versions": {
             "dptomo": __version__,
@@ -570,6 +568,13 @@ def export_report(trace, report, config, out_dir):
             ],
         },
     }
+
+
+def write_run(payload, out_dir):
+    """Write a ``run_payload`` document as run.json plus the four plot-ready CSV
+    files into out_dir; returns the path of run.json."""
+    os.makedirs(out_dir, exist_ok=True)
+    run_path = os.path.join(out_dir, "run.json")
     with open(run_path, "w") as fh:
         json.dump(payload, fh, indent=1)
 
@@ -582,15 +587,21 @@ def export_report(trace, report, config, out_dir):
         with open(os.path.join(out_dir, name), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rec in trace.records:
-                row = [getattr(rec, c) for c in columns]
+            for rec in payload["trace"]:
+                row = [rec[c] for c in columns]
                 writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     with open(os.path.join(out_dir, "frequencies.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting_index", "estimated_probability", "measured_frequency"])
-        for i, est, meas in report.probabilities:
-            writer.writerow([i, repr(float(est)), repr(float(meas))])
+        for p in payload["estimator"]["probabilities"]:
+            writer.writerow([p["setting_index"], repr(float(p["estimated"])),
+                             repr(float(p["measured"]))])
     return run_path
+
+
+def export_report(trace, report, config, out_dir):
+    """Write run.json plus the four plot-ready CSV files into out_dir."""
+    return write_run(run_payload(trace, report, config), out_dir)
 
 
 def load_run(path):
@@ -712,37 +723,38 @@ def _cmd_baseline(args):
     return 0
 
 
+def _require(doc, keys):
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"run.json lacks key {key!r}")
+
+
 def _cmd_report(args):
-    config, payload = load_run(args.run)
+    """Rewrite a stored run.json, checked, and its CSV files into --out.
+
+    The stored document is written back as it is, provenance included; only
+    the trace keys that older versions did not record are filled with null.
+    """
+    _, payload = load_run(args.run)
     # absent from run.json files written before they were recorded
-    later = ("initial_shear_hit_cap", "initial_shear_max_p")
+    for name in ("initial_shear_hit_cap", "initial_shear_max_p"):
+        payload.setdefault(name, None)
     try:
-        records = [StepRecord(**rec) for rec in payload["trace"]]
-        trace = SelectionTrace(records=records, **{
-            f.name: payload.get(f.name) if f.name in later else payload[f.name]
-            for f in fields(SelectionTrace) if f.name != "records"
-        })
+        _require(payload, [f.name for f in fields(SelectionTrace) if f.name != "records"]
+                 + ["trace", "estimator"])
+        for rec in payload["trace"]:
+            StepRecord(**rec)
         est = payload["estimator"]
-        report = EstimatorReport(
-            mean=np.asarray(est["mean"]),
-            covariance=np.asarray(est["covariance"]),
-            density=assemble_estimator(np.asarray(est["mean"]), config.lattice()),
-            fidelity=est["fidelity"],
-            settings_used=est["settings_used"],
-            probabilities=[
-                (p["setting_index"], p["estimated"], p["measured"])
-                for p in est["probabilities"]
-            ],
-            clip_excess=est["clip_excess"],
-            final_variance=est["final_variance"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"run.json lacks key {exc}") from exc
+        _require(est, ("mean", "covariance", "fidelity", "settings_used", "final_variance",
+                       "clip_excess", "probabilities"))
+        for p in est["probabilities"]:
+            _require(p, ("setting_index", "estimated", "measured"))
     except TypeError as exc:  # e.g. a trace record whose keys are not StepRecord's
         raise ValueError(f"malformed run.json: {exc}") from exc
-    export_report(trace, report, config, args.out)
-    status = "exhausted" if trace.exhausted else f"stopped after {trace.stop_step} settings"
-    print(f"{len(records)} steps; {status}; fidelity {report.fidelity:.4f}")
+    write_run(payload, args.out)
+    status = ("exhausted" if payload["exhausted"]
+              else f"stopped after {payload['stop_step']} settings")
+    print(f"{len(payload['trace'])} steps; {status}; fidelity {est['fidelity']:.4f}")
     return 0
 
 

@@ -201,7 +201,9 @@ def load_bank(path):
     """Read a bank back, refusing files this code cannot have written.
 
     Raises SchemaVersionError, DimensionMismatchError or CountRangeError
-    depending on what is wrong, all subclasses of BankFormatError.
+    depending on what is wrong, all subclasses of BankFormatError, and
+    BankFormatError itself for a seed, N_p or count that is not an integer
+    (or an N_p below 1).
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -209,13 +211,19 @@ def load_bank(path):
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(f"schema_version {version!r}, expected {SCHEMA_VERSION}")
     try:
-        n_pulses = int(payload["N_p"])
-        seed = int(payload["seed"])
+        n_pulses = payload["N_p"]
+        seed = payload["seed"]
+        check_seed(seed)
         probes = np.array([complex(re, im) for re, im in payload["probe_amplitudes"]])
         settings = np.array([complex(re, im) for re, im in payload["setting_amplitudes"]])
-        counts = np.asarray(payload["counts"], dtype=np.int64)
+        counts = np.asarray(payload["counts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BankFormatError(f"malformed bank file: {exc}") from exc
+    # save_bank writes integers; truncating anything else would load another bank
+    if isinstance(n_pulses, bool) or not isinstance(n_pulses, int) or n_pulses < 1:
+        raise BankFormatError(f"N_p must be a positive integer, got {n_pulses!r}")
+    if counts.size and counts.dtype.kind != "i":
+        raise BankFormatError(f"counts must be integers, got {counts.dtype} values")
     return PatternBank(
         probe_amplitudes=probes,
         setting_amplitudes=settings,

@@ -197,16 +197,14 @@ def probe_gram(lattice):
     return coherent_overlap_prob(a[:, None], a[None, :])
 
 
-def build_test_kets(lattice, n_max=40):
+def build_test_kets(lattice):
     """Kets for the positivity constraints <psi|rho|psi> >= 0, one per column.
 
-    Fock kets |0>..|n_max> come first, then one coherent ket per probe.
+    The DEFAULT_CUTOFF Fock kets come first, then one coherent ket per probe.
     A probe sitting exactly at the origin duplicates the vacuum Fock ket
     and is skipped so the set contains no repeated directions.
     """
-    if not 0 <= n_max < DEFAULT_CUTOFF:
-        raise ValueError(f"n_max must lie in [0, {DEFAULT_CUTOFF}), got {n_max}")
-    fock = np.eye(DEFAULT_CUTOFF, n_max + 1, dtype=complex)
+    fock = np.eye(DEFAULT_CUTOFF, dtype=complex)
     probes = [coherent_fock_vector(a) for a in lattice.amplitudes if a != 0]
     return np.concatenate([fock, np.stack(probes, axis=1)], axis=1)
 

@@ -7,11 +7,15 @@ construct-and-solve cases.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
+import dptomo
 from dptomo.experiment_cli import (
     EstimatorReport,
     RunConfig,
@@ -72,13 +76,7 @@ class TestRunConfig:
             dict(signal_kind="squeezed"),
             dict(n_bank_pulses=0),
             dict(n_signal_pulses=-5),
-            dict(epsilon_reg=0.0),
             dict(max_settings=0),
-            dict(stiffening_tau=-1.0),
-            dict(stiffening_cutoff=2.0),
-            dict(gh_nodes=1),
-            dict(fock_n_max=-1),
-            dict(fock_n_max=41),
             dict(bank_seed=1.5),
             dict(bank_seed=2.0),
             dict(signal_seed=True),
@@ -110,7 +108,6 @@ class TestRunConfig:
             "n_signal_pulses": 1000,
             "bank_seed": 1,
             "signal_seed": 1001,
-            "epsilon_reg": 1e-06,
             "shearing": {
                 "p_threshold": 0.01,
                 "p_step": 0.0025,
@@ -121,13 +118,23 @@ class TestRunConfig:
             "max_settings": None,
             "continue_past_stop": False,
             "strict_paper_sigma": False,
-            "null_stiffening": True,
-            "stiffening_tau": 5000.0,
-            "stiffening_cutoff": 1e-06,
-            "gh_nodes": 32,
-            "fock_n_max": 40,
         }
         assert json.dumps(RunConfig().to_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("key, former, other", [
+        ("epsilon_reg", 1e-06, 1e-05),
+        ("null_stiffening", True, False),
+        ("stiffening_tau", 5000.0, 100.0),
+        ("stiffening_cutoff", 1e-06, 1e-09),
+        ("gh_nodes", 32, 16),
+        ("fock_n_max", 40, 5),
+    ])
+    def test_retired_key_loads_only_at_its_former_value(self, key, former, other):
+        # configs and run.json files written while these were RunConfig fields
+        config = _small_config(max_settings=4)
+        assert RunConfig.from_dict({**config.to_dict(), key: former}) == config
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            RunConfig.from_dict({**config.to_dict(), key: other})
 
     def test_load_config_file(self, tmp_path):
         config = _small_config(signal_alpha=0.3 + 0.1j)
@@ -471,6 +478,20 @@ class TestExport:
         for name in ("trace.csv", "trajectory.csv", "frequencies.csv", "eigenvalues.csv"):
             assert (tmp_path / "csv" / name).read_bytes() == (out / name).read_bytes()
 
+    def test_report_into_the_run_directory_keeps_its_provenance(self, exported, tmp_path):
+        _, _, _, out, run_path = exported
+        payload = json.loads(open(run_path).read())
+        payload["generated_at"] = "2020-01-01T00:00:00+00:00"
+        payload["versions"]["git_revision"] = "abc123-original"
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "run.json").write_text(json.dumps(payload))
+        assert main(["report", "--run", str(run_dir / "run.json"), "--out", str(run_dir)]) == 0
+        again = json.loads((run_dir / "run.json").read_text())
+        for key in ("generated_at", "versions", "config"):
+            assert again[key] == payload[key], key
+        assert (run_dir / "trace.csv").read_bytes() == (out / "trace.csv").read_bytes()
+
     def test_export_deterministic_modulo_timestamp(self, exported, tmp_path):
         config, trace, report, _, run_path = exported
         second = export_report(trace, report, config, tmp_path)
@@ -590,6 +611,16 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and named in err
         assert "Traceback" not in err
+
+    def test_module_entry_point_runs_without_warning(self):
+        # the package must not import experiment_cli before runpy executes it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dptomo.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "dptomo.experiment_cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "usage: dptomo" in proc.stdout
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json"),

@@ -214,6 +214,25 @@ def test_load_rejects_counts_beyond_pulses(tmp_path, small_bank):
         load_bank(p)
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(seed=3.9),
+        lambda d: d.update(seed=True),
+        lambda d: d.update(seed="3"),
+        lambda d: d.update(N_p=d["N_p"] + 0.6),
+        lambda d: d.update(N_p=0, counts=[[0] * len(row) for row in d["counts"]]),
+        lambda d: d["counts"][0].__setitem__(0, 100.7),
+    ],
+    ids=["seed-float", "seed-bool", "seed-string", "n-p-float", "n-p-zero", "count-float"],
+)
+def test_load_refuses_values_it_would_truncate(tmp_path, small_bank, mutate):
+    # save_bank writes integers only; int() would have loaded another bank
+    p = _tampered(tmp_path / "b.json", small_bank, mutate)
+    with pytest.raises(BankFormatError):
+        load_bank(p)
+
+
 def test_distinct_errors_share_base_class():
     for exc in (SchemaVersionError, DimensionMismatchError, CountRangeError):
         assert issubclass(exc, BankFormatError)

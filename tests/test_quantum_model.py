@@ -147,7 +147,7 @@ def test_test_ket_set_drops_origin_duplicate():
 
 def test_constraint_coefficients_shapes_and_offsets():
     lat = build_probe_lattice(3, 1.0, 0.0)
-    kets = build_test_kets(lat, n_max=5)
+    kets = build_test_kets(lat)
     v, u = constraint_coefficients(lat, kets)
     assert v.shape == (kets.shape[1], lat.n_probes - 1)  # no degenerate rows here
     # offsets are minus the ket expectation against the last probe
