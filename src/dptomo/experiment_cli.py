@@ -262,9 +262,16 @@ class EstimatorReport:
 # ---------------------------------------------------------------------------
 # truth projection and distances
 
-def _truth_projection(lattice, signal):
-    """signal_projection's (c_star, residual), preceded by s_red: the probe
-    Gram matrix in the free coefficients, with c_M = 1 - sum(c) eliminated."""
+def truth_projection(lattice, signal):
+    """Best probe-mixture representation of the true state.
+
+    Returns (s_red, c_star, residual): the probe Gram matrix in the free
+    coefficients (c_M = 1 - sum(c) eliminated), the free coefficients of
+    the Gram-projected least-squares representation computed from exact
+    probabilities, and the squared Hilbert-Schmidt norm of what the probe
+    span cannot express.  Singular Gram directions below 1e-10 are cut by
+    the pseudo-inverse.
+    """
     s = probe_gram(lattice)
     t = signal_born_probability(signal, lattice.amplitudes)
     s_red = s[:-1, :-1] - s[:-1, -1:] - s[-1:, :-1] + s[-1, -1]
@@ -277,30 +284,13 @@ def _truth_projection(lattice, signal):
     return s_red, c_star, max(residual, 0.0)
 
 
-def signal_projection(lattice, signal):
-    """Best probe-mixture representation of the true state.
-
-    Returns (c_star, residual): the free coefficients of the
-    Gram-projected least-squares representation computed from exact
-    probabilities, and the squared Hilbert-Schmidt norm of what the
-    probe span cannot express.  Singular Gram directions below 1e-10
-    are cut by the pseudo-inverse.
-    """
-    _, c_star, residual = _truth_projection(lattice, signal)
-    return c_star, residual
-
-
-def hs_distance_to_truth(post, lattice, signal):
+def hs_distance(mean, cov, s_red, c_star, residual):
     """Posterior-averaged squared Hilbert-Schmidt distance to the truth.
 
-    Closed form (m - c*) . S~ . (m - c*) + tr(S~ Sigma) + residual in
-    the free coefficients; no sampling involved.
+    Closed form (m - c*) . S~ . (m - c*) + tr(S~ Sigma) + residual in the
+    free coefficients, from the belief's moments and ``truth_projection``'s
+    output; no sampling involved.
     """
-    return _hs_distance(*moments(post), *_truth_projection(lattice, signal))
-
-
-def _hs_distance(mean, cov, s_red, c_star, residual):
-    """hs_distance_to_truth from the belief's moments and _truth_projection's output."""
     e = mean - c_star
     return float(e @ s_red @ e + np.trace(s_red @ cov) + residual)
 
@@ -309,7 +299,7 @@ def _hs_distance(mean, cov, s_red, c_star, residual):
 # pipeline
 
 # Gives each pinned direction a prior standard deviation of 1/sqrt(2 tau) = 0.01,
-# against about 700 under the flat prior's epsilon = 1e-6.
+# against about 700 under the flat prior's PRIOR_EPSILON = 1e-6.
 _STIFFENING_TAU = 5e3
 # Directions below this share of the largest singular value count as invisible
 # to every setting; 26 of 120 stay visible on the default 11x11 lattice.
@@ -385,7 +375,7 @@ def run_reconstruction(config, bank=None):
         config.max_settings, bank.n_settings
     )
 
-    s_red, c_star, residual = _truth_projection(lattice, signal)
+    s_red, c_star, residual = truth_projection(lattice, signal)
     psi = signal_fock_vector(signal)
 
     mean, cov = moments(post)
@@ -433,7 +423,7 @@ def run_reconstruction(config, bank=None):
             stopping=False,
             min_eig_before=eig_before,
             min_eig_after=eig_after,
-            hs_distance=_hs_distance(mean, cov, s_red, c_star, residual),
+            hs_distance=hs_distance(mean, cov, s_red, c_star, residual),
             step_change=float(dmean @ s_red @ dmean),
             shear_iterations=shear_report.iterations,
             shear_max_p=shear_report.max_p,
@@ -539,9 +529,10 @@ def _git_revision():
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_payload(trace, report, config):
-    """The run.json document of a run: provenance, config, trace and estimator."""
-    return {
+def export_report(trace, report, config, out_dir):
+    """Write run.json (provenance, config, trace and estimator) plus the four
+    plot-ready CSV files into out_dir; returns the path of run.json."""
+    payload = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "versions": {
             "dptomo": __version__,
@@ -568,11 +559,12 @@ def run_payload(trace, report, config):
             ],
         },
     }
+    return write_run(payload, out_dir)
 
 
 def write_run(payload, out_dir):
-    """Write a ``run_payload`` document as run.json plus the four plot-ready CSV
-    files into out_dir; returns the path of run.json."""
+    """Write an ``export_report`` document as run.json plus the four plot-ready
+    CSV files into out_dir; returns the path of run.json."""
     os.makedirs(out_dir, exist_ok=True)
     run_path = os.path.join(out_dir, "run.json")
     with open(run_path, "w") as fh:
@@ -597,11 +589,6 @@ def write_run(payload, out_dir):
             writer.writerow([p["setting_index"], repr(float(p["estimated"])),
                              repr(float(p["measured"]))])
     return run_path
-
-
-def export_report(trace, report, config, out_dir):
-    """Write run.json plus the four plot-ready CSV files into out_dir."""
-    return write_run(run_payload(trace, report, config), out_dir)
 
 
 def load_run(path):

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 SIGMA2_FLOOR = 1e-15
+# Prior precision: sd ~700 per axis is flat for order-one coefficients; A starts positive definite.
+PRIOR_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -30,21 +32,19 @@ class GaussianPosterior:
         return self.b.size
 
 
-def init_prior(dim, epsilon=1e-6):
+def init_prior(dim):
     """Nearly flat prior centered on the uniform mixture.
 
-    A = epsilon * I and b = 2 * epsilon * (1/M, ..., 1/M) with
+    A = PRIOR_EPSILON * I and b = 2 * PRIOR_EPSILON * (1/M, ..., 1/M) with
     M = dim + 1, so the prior mean is the uniform coefficient vector and
-    the prior variance 1/(2 epsilon) per axis is effectively infinite.
+    the prior variance 1/(2 PRIOR_EPSILON) per axis is effectively infinite.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     m = dim + 1
     return GaussianPosterior(
-        A=epsilon * np.eye(dim),
-        b=np.full(dim, 2.0 * epsilon / m),
+        A=PRIOR_EPSILON * np.eye(dim),
+        b=np.full(dim, 2.0 * PRIOR_EPSILON / m),
     )
 
 

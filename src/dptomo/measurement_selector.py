@@ -7,10 +7,9 @@ Gauss-Hermite quadrature gives the predictive distribution of the count
 n; for each hypothetical n the posterior trace shrinks by the rank-one
 amount |Sigma g|^2 / (sigma^2(n) + g.Sigma.g), so the predicted average
 variance is a weighted sum of closed forms and never requires refitting.
-One kernel scores a whole table of rows as an array, and every public
-function here is a view of it; ``select_next`` returns (index,
-prediction) at the argmin.  Scoring reads the belief and the bank and
-touches no randomness.
+One kernel scores a whole table of rows as an array, and ``select_next``
+returns (index, prediction) at the argmin.  Scoring reads the belief and
+the bank and touches no randomness.
 
 The run stops once the predicted improvement stays within a small
 relative band of the current variance for several consecutive steps.
@@ -40,6 +39,8 @@ class StoppingConfig:
 
 
 def _predictive_pmf(m_p, s_p, n_shots, n_nodes):
+    """Click-count distribution (length n_shots + 1) for P ~ N(m_p, s_p^2); P is
+    clipped into [1e-12, 1 - 1e-12] and the result renormalized."""
     # Gauss-Hermite in the standardized variable: P = m_p + sqrt(2) s_p x
     x, w = np.polynomial.hermite.hermgauss(n_nodes)
     w = w / np.sqrt(np.pi)
@@ -72,29 +73,6 @@ def _scores(post, rows, n_shots, n_nodes, strict_paper):
         for m, vk in zip(m_p, v)
     ])
     return np.trace(cov) - sg2 * h
-
-
-def predictive_outcome_dist(post, pattern_row, n_shots, n_nodes=_DEFAULT_NODES):
-    """Distribution of the click count if this setting were measured now.
-
-    Returns a length n_shots + 1 probability vector.  The Gaussian
-    predictive P is clipped into [1e-12, 1 - 1e-12] before entering the
-    binomial likelihood and the result is renormalized, so mass outside
-    the meaningful probability range is folded back in.
-    """
-    row = np.asarray(pattern_row, dtype=float)
-    if row.size != post.dim + 1:
-        raise ValueError(f"pattern row has {row.size} entries, expected {post.dim + 1}")
-    mean, cov = moments(post)
-    m_p, v, _ = _row_scalars(mean, cov, row.reshape(1, -1))
-    return _predictive_pmf(m_p[0], np.sqrt(max(v[0], 0.0)), n_shots, n_nodes)
-
-
-def predicted_average_variance(post, pattern_row, n_shots, n_nodes=_DEFAULT_NODES,
-                               strict_paper=False):
-    """Expected posterior variance after measuring one candidate setting."""
-    rows = np.asarray(pattern_row, dtype=float).reshape(1, -1)
-    return float(score_candidates(post, rows, n_shots, (), n_nodes, strict_paper)[0])
 
 
 def score_candidates(post, bank_frequencies, n_shots, exclude=(),

@@ -18,6 +18,7 @@ table for plotting.
 """
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -121,19 +122,15 @@ class PatternBank:
 def simulate_probe_bank(lattice, settings=None, n_pulses=1000, seed=0):
     """Generate the full bank of probe-vs-setting click counts.
 
-    ``settings`` defaults to the probe lattice itself (the usual square
-    arrangement where every probe amplitude doubles as a displacement
-    setting).  Cell (k, m) draws Binomial(n_pulses, exp(-|a_m - b_k|^2))
-    from its own stream keyed by (seed, k * n_probes + m), read from
-    counter zero; one re-keyed Philox serves every cell of the call.
+    ``settings``, an array of displacement amplitudes, defaults to the
+    probe lattice itself (the usual square arrangement where every probe
+    amplitude doubles as a displacement setting).  Cell (k, m) draws
+    Binomial(n_pulses, exp(-|a_m - b_k|^2)) from its own stream keyed by
+    (seed, k * n_probes + m), read from counter zero; one re-keyed Philox
+    serves every cell of the call.
     """
     probes = lattice.amplitudes
-    if settings is None:
-        setting_amps = probes.copy()
-    elif hasattr(settings, "amplitudes"):
-        setting_amps = settings.amplitudes
-    else:
-        setting_amps = np.asarray(settings, dtype=complex)
+    setting_amps = probes.copy() if settings is None else np.asarray(settings, dtype=complex)
     p = coherent_overlap_prob(probes[None, :], setting_amps[:, None])
     draw = _KeyedBinomial(seed)
     # the row-major flat index of cell (k, m) is its key word k * n_probes + m
@@ -197,13 +194,25 @@ def save_bank(bank, path):
         json.dump(payload, fh)
 
 
+def _amplitudes(pairs):
+    """Complex amplitudes from save_bank's [re, im] pairs of finite numbers; complex()
+    alone would also take a bool, and json reads NaN and Infinity as floats."""
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                for x in pair)):
+            raise BankFormatError(f"amplitude {pair!r} is not a pair of finite numbers")
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def load_bank(path):
     """Read a bank back, refusing files this code cannot have written.
 
     Raises SchemaVersionError, DimensionMismatchError or CountRangeError
     depending on what is wrong, all subclasses of BankFormatError, and
     BankFormatError itself for a seed, N_p or count that is not an integer
-    (or an N_p below 1).
+    (or an N_p below 1) and for an amplitude that is not a pair of finite
+    numbers.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -214,8 +223,8 @@ def load_bank(path):
         n_pulses = payload["N_p"]
         seed = payload["seed"]
         check_seed(seed)
-        probes = np.array([complex(re, im) for re, im in payload["probe_amplitudes"]])
-        settings = np.array([complex(re, im) for re, im in payload["setting_amplitudes"]])
+        probes = _amplitudes(payload["probe_amplitudes"])
+        settings = _amplitudes(payload["setting_amplitudes"])
         counts = np.asarray(payload["counts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BankFormatError(f"malformed bank file: {exc}") from exc

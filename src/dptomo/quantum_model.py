@@ -45,9 +45,6 @@ class EvenCat:
     alpha: ComplexAmplitude
 
 
-SignalState = CoherentSignal | SingledPhotonFock | EvenCat
-
-
 @dataclass(frozen=True)
 class ProbeLattice:
     """Square grid of coherent probe amplitudes.
@@ -74,9 +71,9 @@ class NonHermitianError(ValueError):
 class DensityMatrix:
     """DEFAULT_CUTOFF x DEFAULT_CUTOFF Fock-basis operator with a Hermiticity guard.
 
-    The matrix is not required to be positive or normalized: estimators
-    produced mid-reconstruction may be slightly unphysical, and callers
-    inspect eigenvalues and trace separately.
+    The matrix is not required to be positive or normalized: a default
+    run's final estimator has minimum eigenvalue -0.023 (fock1: -0.525),
+    so callers inspect eigenvalues and trace separately.
     """
 
     matrix: np.ndarray
@@ -252,7 +249,9 @@ def fidelity(psi, rho):
 
     ``rho`` may be a DensityMatrix or a raw Fock-basis array, which is
     checked by wrapping it in one.  The value is the real overlap itself,
-    so a slightly unphysical estimator can score marginally above 1.
+    so for an estimator with negative eigenvalues (negative mass 0.025 on
+    a default run, 0.543 on fock1) it is not a state fidelity and can
+    exceed 1.
     """
     m = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(np.asarray(rho))).matrix
     psi = np.asarray(psi, dtype=complex)

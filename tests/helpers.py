@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import erf
 
 from dptomo.gaussian_posterior import moments
+from dptomo.measurement_selector import _DEFAULT_NODES, _predictive_pmf
 from dptomo.quantum_model import signal_born_probability
 
 
@@ -30,6 +31,16 @@ def posterior_total_variance(post):
     """Total coefficient variance, the trace of Sigma = (2A)^-1."""
     _, cov = moments(post)
     return float(np.trace(cov))
+
+
+def predictive_pmf(post, pattern_row, n_shots):
+    """The selector's click-count distribution for one frequency row: its
+    Gaussian predictive P has mean g.m + f_M and variance g.Sigma.g."""
+    row = np.asarray(pattern_row, dtype=float)
+    mean, cov = moments(post)
+    g = row[:-1] - row[-1]
+    s_p = np.sqrt(max(g @ cov @ g, 0.0))
+    return _predictive_pmf(g @ mean + row[-1], s_p, n_shots, _DEFAULT_NODES)
 
 
 def true_probability(meter, setting_index):

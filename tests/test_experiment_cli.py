@@ -23,15 +23,15 @@ from dptomo.experiment_cli import (
     StepRecord,
     bank_for,
     export_report,
-    hs_distance_to_truth,
+    hs_distance,
     load_config,
     load_run,
     lsq_baseline,
     main,
     run_reconstruction,
-    signal_projection,
+    truth_projection,
 )
-from dptomo.gaussian_posterior import GaussianPosterior
+from dptomo.gaussian_posterior import GaussianPosterior, moments
 from dptomo.measurement_selector import StoppingConfig
 from dptomo.pattern_bank import simulate_probe_bank
 from dptomo.quantum_model import (
@@ -148,6 +148,10 @@ class TestRunConfig:
         assert isinstance(_small_config(signal_kind="even_cat").signal(), EvenCat)
 
 
+def _distance_to_truth(post, lattice, signal):
+    return hs_distance(*moments(post), *truth_projection(lattice, signal))
+
+
 class TestTruthDistance:
     def _pair_lattice(self):
         return ProbeLattice(
@@ -156,18 +160,18 @@ class TestTruthDistance:
 
     def test_projection_of_probe_is_indicator(self):
         lat = self._pair_lattice()
-        c_star, residual = signal_projection(lat, CoherentSignal(0.0))
+        _, c_star, residual = truth_projection(lat, CoherentSignal(0.0))
         assert abs(residual) < 1e-12
         assert np.abs(c_star - np.array([1.0])).max() < 1e-8
         # the eliminated probe maps to the all-zero free vector
-        c_star, residual = signal_projection(lat, CoherentSignal(0.6))
+        _, c_star, residual = truth_projection(lat, CoherentSignal(0.6))
         assert abs(residual) < 1e-12
         assert np.abs(c_star).max() < 1e-8
 
     def test_distance_vanishes_at_the_truth(self):
         lat = self._pair_lattice()
         post = GaussianPosterior(A=np.array([[5e11]]), b=np.array([0.0]))
-        assert hs_distance_to_truth(post, lat, CoherentSignal(0.6)) < 1e-6
+        assert _distance_to_truth(post, lat, CoherentSignal(0.6)) < 1e-6
 
     def test_distance_nonnegative(self):
         lat = build_probe_lattice(3, 0.7)
@@ -176,7 +180,7 @@ class TestTruthDistance:
             q = rng.standard_normal((8, 8))
             A = q @ q.T + 0.5 * np.eye(8)
             post = GaussianPosterior(A=A, b=rng.standard_normal(8))
-            assert hs_distance_to_truth(post, lat, EvenCat(0.5)) >= 0.0
+            assert _distance_to_truth(post, lat, EvenCat(0.5)) >= 0.0
 
     def test_matches_sampling_oracle(self):
         # rho(c) = c rho_0 + (1-c) rho_1; average the squared distance
@@ -184,7 +188,7 @@ class TestTruthDistance:
         lat = self._pair_lattice()
         sig = CoherentSignal(0.6)
         post = GaussianPosterior(A=np.array([[50.0]]), b=np.array([30.0]))
-        closed = hs_distance_to_truth(post, lat, sig)
+        closed = _distance_to_truth(post, lat, sig)
         s = probe_gram(lat)
         t = signal_born_probability(sig, lat.amplitudes)
         psi = signal_fock_vector(sig)

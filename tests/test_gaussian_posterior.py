@@ -17,7 +17,7 @@ from helpers import gaussian_outside_mass
 
 
 def test_prior_shape_and_moments():
-    post = init_prior(5, epsilon=1e-6)
+    post = init_prior(5)
     assert post.dim == 5
     np.testing.assert_allclose(np.linalg.eigvalsh(post.A), 1e-6)
     mean, cov = moments(post)
@@ -28,10 +28,6 @@ def test_prior_shape_and_moments():
 def test_prior_rejects_bad_arguments():
     with pytest.raises(ValueError):
         init_prior(0)
-    with pytest.raises(ValueError):
-        init_prior(3, epsilon=0.0)
-    with pytest.raises(ValueError):
-        init_prior(3, epsilon=-1e-6)
 
 
 # scipy's Beta distribution is the oracle for the record summary: a

@@ -19,15 +19,21 @@ from dptomo.gaussian_posterior import (
     moments,
 )
 from dptomo.measurement_selector import (
+    _DEFAULT_NODES,
     StoppingConfig,
-    predicted_average_variance,
-    predictive_outcome_dist,
+    _predictive_pmf,
     score_candidates,
     select_next,
     stopping_check,
 )
 
-from helpers import posterior_total_variance
+from helpers import posterior_total_variance, predictive_pmf
+
+
+def _score(post, row, n_shots, strict_paper=False):
+    """Predicted average variance of one frequency row."""
+    return score_candidates(post, np.asarray(row)[None, :], n_shots,
+                            strict_paper=strict_paper)[0]
 
 
 def _posterior(mean, var):
@@ -76,7 +82,7 @@ class TestPredictiveOutcomeDist:
         post = GaussianPosterior(A=A, b=2.0 * A @ mean)
         row = np.array([0.8, 0.3, 0.45])
         m_p = (row[:-1] - row[-1]) @ mean + row[-1]
-        pmf = predictive_outcome_dist(post, row, 10)
+        pmf = predictive_pmf(post, row, 10)
         assert np.abs(pmf - binom.pmf(np.arange(11), 10, m_p)).max() < 1e-9
 
     @pytest.mark.parametrize(
@@ -90,7 +96,7 @@ class TestPredictiveOutcomeDist:
     )
     def test_normalization(self, mean, var, row, n_shots):
         post = _posterior(mean, var)
-        pmf = predictive_outcome_dist(post, np.array(row), n_shots)
+        pmf = predictive_pmf(post, np.array(row), n_shots)
         assert abs(pmf.sum() - 1.0) < 1e-9
         assert (pmf >= 0.0).all()
 
@@ -98,17 +104,13 @@ class TestPredictiveOutcomeDist:
     def test_against_quadrature_oracle(self, m_p, s_p):
         want = _pmf_oracle(m_p, s_p, 2)
         assert np.abs(want - np.array(_FROZEN_PMF[(m_p, s_p)])).max() < 1e-9
-        # map the (m_p, s_p) pair back through a one-dimensional posterior
-        row = np.array([0.9, 0.15])
-        g = row[0] - row[1]
-        post = _posterior((m_p - row[1]) / g, (s_p / g) ** 2)
-        got = predictive_outcome_dist(post, row, 2)
+        got = _predictive_pmf(m_p, s_p, 2, _DEFAULT_NODES)
         assert np.abs(got - want).max() < 1e-6
 
     def test_row_length_validated(self):
         post = _posterior([0.3, 0.3], [0.01, 0.01])
         with pytest.raises(ValueError):
-            predictive_outcome_dist(post, np.array([0.5, 0.5]), 4)
+            _score(post, np.array([0.5, 0.5]), 4)
 
 
 class TestPredictedAverageVariance:
@@ -116,7 +118,7 @@ class TestPredictedAverageVariance:
         # equal entries give g = 0: the measurement cannot move the belief
         post = _posterior([0.2, 0.5], [0.03, 0.07])
         row = np.array([0.4, 0.4, 0.4])
-        got = predicted_average_variance(post, row, 50)
+        got = _score(post, row, 50)
         assert got == pytest.approx(posterior_total_variance(post), rel=1e-14)
 
     def test_never_exceeds_current_variance(self):
@@ -128,7 +130,7 @@ class TestPredictedAverageVariance:
             post = _posterior(mean, var)
             row = rng.uniform(0.0, 1.0, dim + 1)
             total = posterior_total_variance(post)
-            got = predicted_average_variance(post, row, 30)
+            got = _score(post, row, 30)
             assert got <= total + 1e-12
             if np.ptp(row) > 1e-6:
                 assert got < total
@@ -137,12 +139,12 @@ class TestPredictedAverageVariance:
     def test_per_outcome_recomputation(self, n_shots):
         post = GaussianPosterior(A=np.array([[4.0]]), b=np.array([1.6]))
         row = np.array([0.7, 0.2])
-        pmf = predictive_outcome_dist(post, row, n_shots)
+        pmf = predictive_pmf(post, row, n_shots)
         want = 0.0
         for n in range(n_shots + 1):
             upd = bayes_update(post, row, n / n_shots, n_shots)
             want += pmf[n] * np.trace(moments(upd)[1])
-        got = predicted_average_variance(post, row, n_shots)
+        got = _score(post, row, n_shots)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_per_outcome_recomputation_dim2(self):
@@ -150,12 +152,12 @@ class TestPredictedAverageVariance:
             A=np.array([[3.0, 0.4], [0.4, 2.0]]), b=np.array([0.9, 0.5])
         )
         row = np.array([0.55, 0.3, 0.2])
-        pmf = predictive_outcome_dist(post, row, 25)
+        pmf = predictive_pmf(post, row, 25)
         want = sum(
             pmf[n] * np.trace(moments(bayes_update(post, row, n / 25, 25))[1])
             for n in range(26)
         )
-        got = predicted_average_variance(post, row, 25)
+        got = _score(post, row, 25)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_per_outcome_recomputation_strict(self):
@@ -166,7 +168,7 @@ class TestPredictedAverageVariance:
             A=np.array([[3.0, 0.4], [0.4, 2.0]]), b=np.array([0.9, 0.5])
         )
         row = np.array([0.55, 0.3, 0.2])
-        pmf = predictive_outcome_dist(post, row, 25)
+        pmf = predictive_pmf(post, row, 25)
         want = sum(
             pmf[n]
             * np.trace(
@@ -174,7 +176,7 @@ class TestPredictedAverageVariance:
             )
             for n in range(26)
         )
-        got = predicted_average_variance(post, row, 25, strict_paper=True)
+        got = _score(post, row, 25, strict_paper=True)
         assert got == pytest.approx(want, rel=1e-5)
 
     def test_total_variance_matches_moments(self):
@@ -235,7 +237,7 @@ class TestSelection:
         )
         bank = rng.uniform(0.0, 1.0, (7, 4))
         batch = score_candidates(post, bank, 40)
-        single = [predicted_average_variance(post, row, 40) for row in bank]
+        single = [_score(post, row, 40) for row in bank]
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
     def test_bank_shape_validated(self):

@@ -223,11 +223,24 @@ def test_load_rejects_counts_beyond_pulses(tmp_path, small_bank):
         lambda d: d.update(N_p=d["N_p"] + 0.6),
         lambda d: d.update(N_p=0, counts=[[0] * len(row) for row in d["counts"]]),
         lambda d: d["counts"][0].__setitem__(0, 100.7),
+        lambda d: d["probe_amplitudes"].__setitem__(0, [True, False]),
+        lambda d: d["setting_amplitudes"].__setitem__(0, [0.0, True]),
+        lambda d: d["probe_amplitudes"].__setitem__(0, [0.1]),
+        lambda d: d["setting_amplitudes"].__setitem__(0, [0.1, 0.0, 0.0]),
+        lambda d: d["probe_amplitudes"].__setitem__(0, 0.1),
+        lambda d: d["setting_amplitudes"].__setitem__(0, ["0.1", 0.0]),
+        lambda d: d["probe_amplitudes"].__setitem__(0, [None, 0.0]),
+        lambda d: d["setting_amplitudes"].__setitem__(0, [[0.1], 0.0]),
+        lambda d: d["probe_amplitudes"].__setitem__(0, [float("nan"), 0.0]),
     ],
-    ids=["seed-float", "seed-bool", "seed-string", "n-p-float", "n-p-zero", "count-float"],
+    ids=["seed-float", "seed-bool", "seed-string", "n-p-float", "n-p-zero", "count-float",
+         "probe-bool", "setting-bool", "amplitude-one-number", "amplitude-three-numbers",
+         "amplitude-bare-number", "amplitude-string", "amplitude-null", "amplitude-nested",
+         "amplitude-nan"],
 )
 def test_load_refuses_values_it_would_truncate(tmp_path, small_bank, mutate):
-    # save_bank writes integers only; int() would have loaded another bank
+    # save_bank writes integers and [re, im] pairs of numbers only; int() or
+    # complex() (which reads true as 1) would have loaded another bank
     p = _tampered(tmp_path / "b.json", small_bank, mutate)
     with pytest.raises(BankFormatError):
         load_bank(p)
