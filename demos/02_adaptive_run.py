@@ -6,12 +6,16 @@ Instead of measuring all settings, the observer asks before each pulse
 train which unmeasured setting would shrink the posterior variance the
 most, measures that one, and stops when further measurements stop
 paying.  This script runs the full-size loop (121 settings available)
-and prints a thinned view of the decisions.  On a 2-vCPU x86-64 host it
-took 26-28 s with OpenBLAS at its default two threads and 13-14 s with
-OPENBLAS_NUM_THREADS=1.
+and prints a thinned view of the decisions.  It runs BLAS at one thread
+unless the environment sets a thread count: on a 2-vCPU x86-64 host it
+took 13-14 s at one thread and 26-28 s at OpenBLAS's default two.
 """
 
-from dptomo.experiment_cli import RunConfig, export_report, run_reconstruction
+from dptomo import default_blas_threads
+
+default_blas_threads()  # before numpy's first import, which reads the setting
+
+from dptomo.experiment_cli import RunConfig, export_report, run_reconstruction  # noqa: E402
 
 config = RunConfig(signal_kind="coherent", bank_seed=1, signal_seed=1001)
 trace, report = run_reconstruction(config)

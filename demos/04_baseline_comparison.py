@@ -5,12 +5,17 @@ Adaptive selection against the all-settings baseline
 The non-adaptive reference measures every setting once and solves a
 regularized least-squares problem, with no positivity and no notion of
 which settings were worth the pulses.  This script runs both on the
-same full-size bank and signal and compares cost and quality.  On a
-2-vCPU x86-64 host it took 25-27 s with OpenBLAS at its default two
-threads and 12 s with OPENBLAS_NUM_THREADS=1.
+same full-size bank and signal and compares cost and quality.  It runs
+BLAS at one thread unless the environment sets a thread count: on a
+2-vCPU x86-64 host it took 12 s at one thread and 25-27 s at OpenBLAS's
+default two.
 """
 
-from dptomo.experiment_cli import RunConfig, bank_for, fit_baseline, run_reconstruction
+from dptomo import default_blas_threads
+
+default_blas_threads()  # before numpy's first import, which reads the setting
+
+from dptomo.experiment_cli import RunConfig, bank_for, fit_baseline, run_reconstruction  # noqa: E402
 
 config = RunConfig(signal_kind="even_cat", bank_seed=4, signal_seed=1004)
 lattice = config.lattice()

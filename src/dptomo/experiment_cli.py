@@ -20,6 +20,7 @@ them changes no observable prediction.
 """
 
 import argparse
+import cmath
 import csv
 import datetime
 import json
@@ -55,7 +56,6 @@ from .quantum_model import (
     SingledPhotonFock,
     assemble_estimator,
     build_probe_lattice,
-    build_test_kets,
     coherent_overlap_prob,
     constraint_coefficients,
     fidelity,
@@ -100,6 +100,9 @@ class RunConfig:
             raise ValueError("pulse counts must be positive")
         if self.max_settings is not None and self.max_settings < 1:
             raise ValueError("max_settings must be positive when given")
+        for name in ("spacing", "center", "signal_alpha"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_seed(self.bank_seed)
         check_seed(self.signal_seed)
 
@@ -171,8 +174,8 @@ def _read_fields(cls, data, where, names=None):
     of that name), or to such a mapping for a block of ``cls``'s own fields.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"config key {where[:-1]!r} must be a JSON object" if where
-                         else "a config must be a JSON object")
+        raise ValueError(f"key {where[:-1]!r} must be a JSON object" if where
+                         else "expected a JSON object")
     kinds = {f.name: f.type for f in fields(cls)}
     names = names or {name: name for name in kinds}
     kwargs = {}
@@ -185,7 +188,7 @@ def _read_fields(cls, data, where, names=None):
                                  f"value {json.dumps(former)} is accepted, got {json.dumps(value)}")
             continue
         if key not in names:
-            raise ValueError(f"unknown config key {path!r}")
+            raise ValueError(f"unknown key {path!r}")
         if isinstance(names[key], dict):
             kwargs.update(_read_fields(cls, value, path + ".", names[key]))
         else:
@@ -205,7 +208,7 @@ def _read_value(kind, value, path):
     if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind is bool):
         return value
     expected = "[re, im]" if kind is complex else kind.__name__
-    raise ValueError(f"config key {path!r} must be {expected}, got {json.dumps(value)}")
+    raise ValueError(f"key {path!r} must be {expected}, got {json.dumps(value)}")
 
 
 def load_config(path):
@@ -361,7 +364,7 @@ def run_reconstruction(config, bank=None):
     lattice = config.lattice()
     bank = bank_for(config, lattice, bank)
     dim = lattice.n_probes - 1
-    v, u = constraint_coefficients(lattice, build_test_kets(lattice))
+    v, u = constraint_coefficients(lattice)
     constraints = LinearConstraintSet(v, u)
 
     post = _stiffened_prior(init_prior(dim), lattice, bank.setting_amplitudes)
@@ -716,27 +719,45 @@ def _require(doc, keys):
             raise ValueError(f"run.json lacks key {key!r}")
 
 
+def _array(doc, key):
+    if not isinstance(doc[key], list):
+        raise ValueError(f"run.json key {key!r} must be a JSON array")
+    return doc[key]
+
+
 def _cmd_report(args):
     """Rewrite a stored run.json, checked, and its CSV files into --out.
 
-    The stored document is written back as it is, provenance included; only
-    the trace keys that older versions did not record are filled with null.
+    Every value the CSV files or the status line read is checked for its
+    type before anything is written.  The stored document is written back
+    as it is, provenance included; only the trace keys that older versions
+    did not record are filled with null.
     """
     _, payload = load_run(args.run)
     # absent from run.json files written before they were recorded
-    for name in ("initial_shear_hit_cap", "initial_shear_max_p"):
+    recorded_later = ("initial_shear_hit_cap", "initial_shear_max_p")
+    for name in recorded_later:
         payload.setdefault(name, None)
+    scalars = [f.name for f in fields(SelectionTrace) if f.name != "records"]
     try:
-        _require(payload, [f.name for f in fields(SelectionTrace) if f.name != "records"]
-                 + ["trace", "estimator"])
-        for rec in payload["trace"]:
-            StepRecord(**rec)
+        _require(payload, scalars + ["trace", "estimator"])
+        unrecorded = [name for name in recorded_later if payload[name] is None]
+        _read_fields(SelectionTrace, {name: payload[name] for name in scalars
+                                      if name not in unrecorded}, "")
+        for i, rec in enumerate(_array(payload, "trace")):
+            try:
+                StepRecord(**_read_fields(StepRecord, rec, ""))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"trace record {i}: {exc}") from exc
         est = payload["estimator"]
-        _require(est, ("mean", "covariance", "fidelity", "settings_used", "final_variance",
-                       "clip_excess", "probabilities"))
-        for p in est["probabilities"]:
+        checked = ("fidelity", "settings_used", "final_variance", "clip_excess")
+        _require(est, ("mean", "covariance", "probabilities") + checked)
+        _read_fields(EstimatorReport, {name: est[name] for name in checked}, "estimator.")
+        for p in _array(est, "probabilities"):
             _require(p, ("setting_index", "estimated", "measured"))
-    except TypeError as exc:  # e.g. a trace record whose keys are not StepRecord's
+            for name, kind in (("setting_index", int), ("estimated", float), ("measured", float)):
+                _read_value(kind, p[name], "estimator.probabilities." + name)
+    except TypeError as exc:  # e.g. an estimator or a probability that is not a JSON object
         raise ValueError(f"malformed run.json: {exc}") from exc
     write_run(payload, args.out)
     status = ("exhausted" if payload["exhausted"]

@@ -20,7 +20,7 @@ table for plotting.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,16 +150,15 @@ class SignalMeter:
     """Simulated signal source measured one setting at a time.
 
     Each setting index has its own Philox stream, keyed (seed, setting)
-    and read through one re-keyed generator, and the first draw is
-    cached, so a reconstruction may ask for the same setting repeatedly
-    (or in any order) and always see one consistent experimental record.
+    and read from counter zero through one re-keyed generator, so a
+    reconstruction may ask for the same setting repeatedly (or in any
+    order) and always see one consistent experimental record.
     """
 
     signal: object
     setting_amplitudes: np.ndarray
     n_pulses: int = 1000
     seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.setting_amplitudes = np.asarray(self.setting_amplitudes, dtype=complex)
@@ -171,10 +170,7 @@ class SignalMeter:
         k = int(setting_index)
         if k < 0 or k >= self.setting_amplitudes.size:
             raise IndexError(f"setting index {k} outside bank of {self.setting_amplitudes.size}")
-        if k not in self._cache:
-            n = self._draw(k, self.n_pulses, self._probs[k])
-            self._cache[k] = n / float(self.n_pulses)
-        return self._cache[k]
+        return self._draw(k, self.n_pulses, self._probs[k]) / float(self.n_pulses)
 
 
 # ---------------------------------------------------------------------------

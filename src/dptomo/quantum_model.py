@@ -4,7 +4,7 @@ Signal states are represented as linear combinations of coherent probe
 projectors sitting on a square lattice in phase space.  This module holds
 the state definitions, Born-rule probabilities for the unbalanced-homodyne
 style measurement (projection onto a displaced vacuum), the probe lattice
-geometry, the positivity test-ket machinery, and Fock-basis assembly of
+geometry, the positivity constraints, and Fock-basis assembly of
 the reconstructed density matrix.
 """
 
@@ -194,27 +194,19 @@ def probe_gram(lattice):
     return coherent_overlap_prob(a[:, None], a[None, :])
 
 
-def build_test_kets(lattice):
-    """Kets for the positivity constraints <psi|rho|psi> >= 0, one per column.
-
-    The DEFAULT_CUTOFF Fock kets come first, then one coherent ket per probe.
-    A probe sitting exactly at the origin duplicates the vacuum Fock ket
-    and is skipped so the set contains no repeated directions.
-    """
-    fock = np.eye(DEFAULT_CUTOFF, dtype=complex)
-    probes = [coherent_fock_vector(a) for a in lattice.amplitudes if a != 0]
-    return np.concatenate([fock, np.stack(probes, axis=1)], axis=1)
-
-
-def constraint_coefficients(lattice, kets):
+def constraint_coefficients(lattice):
     """Linear positivity data (V, u) in the free coefficients.
 
-    For each test ket the expectation q_i(m) = <psi_i|rho_m|psi_i> gives
-    one inequality sum_m c_m q_i(m) >= 0.  Eliminating the dependent
-    coefficient c_M = 1 - sum c_m turns it into v_i . c >= u_i with
-    v_{i,m} = q_i(m) - q_i(M) and u_i = -q_i(M).
+    The test kets psi_i are the DEFAULT_CUTOFF Fock kets, then one coherent
+    ket per probe; a probe sitting exactly at the origin duplicates the
+    vacuum Fock ket and is skipped.  Each gives one inequality
+    sum_m c_m q_i(m) >= 0 with q_i(m) = <psi_i|rho_m|psi_i>.  Eliminating
+    the dependent coefficient c_M = 1 - sum c_m turns it into
+    v_i . c >= u_i with v_{i,m} = q_i(m) - q_i(M) and u_i = -q_i(M).
     """
     probes = np.stack([coherent_fock_vector(a) for a in lattice.amplitudes], axis=1)
+    kets = np.concatenate([np.eye(DEFAULT_CUTOFF, dtype=complex),
+                           probes[:, lattice.amplitudes != 0]], axis=1)
     q = np.abs(kets.conj().T @ probes) ** 2  # kets x probes
     return q[:, :-1] - q[:, -1:], -q[:, -1]
 

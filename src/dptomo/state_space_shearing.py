@@ -107,10 +107,6 @@ class ViolationStats:
     x0: float
     p: float
 
-    def __post_init__(self):
-        if abs(self.p - 0.5 * (1.0 + erf(self.x0))) > 1e-12:
-            raise ValueError("p inconsistent with x0")
-
 
 @dataclass(frozen=True)
 class ShearReport:

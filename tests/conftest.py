@@ -6,7 +6,6 @@ The fock1 sweep's fidelities depend on the BLAS thread count (fock1/3 gives
 numpy, which reads these variables once at import.
 """
 
-import os
+from dptomo import default_blas_threads
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+default_blas_threads()

@@ -80,6 +80,10 @@ class TestRunConfig:
             dict(bank_seed=1.5),
             dict(bank_seed=2.0),
             dict(signal_seed=True),
+            dict(spacing=float("nan")),
+            dict(spacing=float("inf")),
+            dict(center=complex(0.0, float("nan"))),
+            dict(signal_alpha=complex(float("inf"), 0.0)),
         ],
     )
     def test_validation(self, overrides):
@@ -447,9 +451,29 @@ class TestExport:
             (lambda d: d.pop("config"), "'config'"),
             (lambda d: d.pop("estimator"), "'estimator'"),
             (lambda d: d["estimator"].pop("fidelity"), "'fidelity'"),
+            (lambda d: d["trace"][0].update(step=[1, 2], variance="oops"), "'step'"),
+            (lambda d: d["trace"][-1].update(variance="oops"), "'variance'"),
+            (lambda d: d["trace"][0].update(shear_hit_cap=1), "'shear_hit_cap'"),
+            (lambda d: d.update(exhausted="no"), "'exhausted'"),
+            (lambda d: d.update(initial_variance=None), "'initial_variance'"),
+            (lambda d: d.update(initial_shear_max_p="0.4"), "'initial_shear_max_p'"),
+            (lambda d: d["estimator"].update(fidelity="0.99"), "'estimator.fidelity'"),
+            (lambda d: d["estimator"].update(settings_used=9.0), "'estimator.settings_used'"),
+            (lambda d: d["estimator"].update(final_variance=None), "'estimator.final_variance'"),
+            (lambda d: d["estimator"].update(clip_excess=[0]), "'estimator.clip_excess'"),
+            (lambda d: d["estimator"]["probabilities"][0].update(measured=True),
+             "'estimator.probabilities.measured'"),
+            (lambda d: d["estimator"]["probabilities"][0].update(setting_index=1.0),
+             "'estimator.probabilities.setting_index'"),
+            (lambda d: d.update(trace={}), "'trace'"),
+            (lambda d: d["estimator"].update(probabilities={}), "'probabilities'"),
         ],
         ids=["trace-key-missing", "record-key-unknown", "record-key-missing",
-             "config-missing", "estimator-missing", "estimator-key-missing"],
+             "config-missing", "estimator-missing", "estimator-key-missing",
+             "record-list-and-string", "record-string", "record-int-for-bool",
+             "exhausted-string", "variance-null", "max-p-string", "fidelity-string",
+             "settings-used-float", "final-variance-null", "clip-excess-list",
+             "measured-bool", "setting-index-float", "trace-object", "probabilities-object"],
     )
     def test_report_refuses_malformed_trace(self, exported, tmp_path, capsys, patch, named):
         _, _, _, _, run_path = exported
@@ -461,6 +485,7 @@ class TestExport:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "csv").exists()  # refused before anything is written
 
     def test_report_refuses_non_object_run_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -604,9 +629,13 @@ class TestCommandLine:
             (lambda d: {**d, "side_count": "11"}, "'side_count'"),
             (lambda d: {**d, "side_count": 11.0}, "'side_count'"),
             (lambda d: [d], "JSON object"),
+            (lambda d: {**d, "signal": {**d["signal"], "alpha": [float("inf"), 0]}},
+             "signal_alpha must be finite"),
+            (lambda d: {**d, "spacing": float("nan")}, "spacing must be finite"),
         ],
         ids=["top-key", "signal-key", "shearing-key", "stopping-key",
-             "alpha-number", "side-count-string", "side-count-float", "top-list"],
+             "alpha-number", "side-count-string", "side-count-float", "top-list",
+             "alpha-infinite", "spacing-nan"],
     )
     def test_malformed_config_is_validation_error(self, tmp_path, capsys, patch, named):
         path = tmp_path / "bad.json"
@@ -620,11 +649,34 @@ class TestCommandLine:
         # the package must not import experiment_cli before runpy executes it
         src = os.path.dirname(os.path.dirname(os.path.abspath(dptomo.__file__)))
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-m", "dptomo.experiment_cli", "--help"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        for module in ("dptomo.experiment_cli", "dptomo"):
+            proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+            assert "usage: dptomo" in proc.stdout
+
+    @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}],
+                             ids=["unset", "user-set"])
+    def test_entry_point_defaults_blas_to_one_thread(self, tmp_path, preset):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dptomo.__file__)))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env.update(preset, PYTHONPATH=src)
+        script = (
+            "import json, os, sys\n"
+            "from dptomo.__main__ import main\n"
+            "assert 'numpy' not in sys.modules\n"
+            "code = main(['report', '--run', 'absent.json'])\n"
+            "assert 'numpy' in sys.modules\n"
+            f"print(json.dumps([code] + [os.environ.get(v) for v in {names!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
-        assert "usage: dptomo" in proc.stdout
+        code, *values = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 2  # the CLI ran: an absent run.json is an i/o error
+        assert values == [preset.get(v, "1") for v in names]
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json"),

@@ -9,7 +9,6 @@ from dptomo.quantum_model import (
     SingledPhotonFock,
     assemble_estimator,
     build_probe_lattice,
-    build_test_kets,
     coherent_fock_vector,
     coherent_overlap_prob,
     constraint_coefficients,
@@ -19,7 +18,6 @@ from dptomo.quantum_model import (
     signal_born_probability,
     signal_fock_vector,
 )
-from dptomo.state_space_shearing import LinearConstraintSet
 
 
 # ---------------------------------------------------------------------------
@@ -135,33 +133,41 @@ def test_probe_gram_is_positive_semidefinite():
     assert np.linalg.eigvalsh(s).min() >= -1e-10
 
 
+def _explicit_kets(lat):
+    """The 41 Fock kets, then one coherent ket per probe, the origin probe skipped."""
+    probes = [coherent_fock_vector(a) for a in lat.amplitudes if a != 0]
+    return np.concatenate([np.eye(41, dtype=complex), np.stack(probes, axis=1)], axis=1)
+
+
 def test_test_ket_set_drops_origin_duplicate():
     lat = build_probe_lattice(3, 1.0, 0.0)
-    kets = build_test_kets(lat)
+    v, u = constraint_coefficients(lat)
     # 41 Fock kets plus 9 probes minus the origin probe equal to |0>
-    assert kets.shape[1] == 41 + 9 - 1
+    assert v.shape == (41 + 9 - 1, lat.n_probes - 1) and u.shape == (41 + 9 - 1,)
+    # off the origin every probe keeps its ket
+    off = build_probe_lattice(3, 1.0, 0.3 + 0.2j)
+    assert constraint_coefficients(off)[0].shape == (41 + 9, off.n_probes - 1)
+    kets = _explicit_kets(lat)
     overlaps = np.abs(kets.conj().T @ kets)
-    off = overlaps - np.diag(np.diag(overlaps))
-    assert off.max() < 1.0 - 1e-9  # no two kets parallel
+    assert (overlaps - np.diag(np.diag(overlaps))).max() < 1.0 - 1e-9  # no two kets parallel
 
 
 def test_constraint_coefficients_shapes_and_offsets():
-    lat = build_probe_lattice(3, 1.0, 0.0)
-    kets = build_test_kets(lat)
-    v, u = constraint_coefficients(lat, kets)
-    assert v.shape == (kets.shape[1], lat.n_probes - 1)  # no degenerate rows here
-    # offsets are minus the ket expectation against the last probe
-    q_last = np.abs(kets.conj().T @ coherent_fock_vector(lat.amplitudes[-1])) ** 2
-    assert np.allclose(u, -q_last, rtol=0, atol=1e-14)
-    # and each row is the expectation difference for the first probe
-    q_first = np.abs(kets.conj().T @ coherent_fock_vector(lat.amplitudes[0])) ** 2
-    assert np.allclose(v[:, 0], q_first - q_last, rtol=0, atol=1e-14)
-
-
-def test_constraint_coefficients_drop_zero_rows():
-    lat = build_probe_lattice(3, 1.0, 0.0)
-    dead = np.zeros((41, 1), dtype=complex)  # a null ket sees nothing
-    assert LinearConstraintSet(*constraint_coefficients(lat, dead)).count == 0
+    for lat in (build_probe_lattice(3, 1.0, 0.0), build_probe_lattice(3, 0.5, 0.3 + 0.2j),
+                build_probe_lattice(9, 0.15, 0.0), build_probe_lattice(11, 0.125, 0.0)):
+        kets = _explicit_kets(lat)
+        v, u = constraint_coefficients(lat)
+        assert v.shape == (kets.shape[1], lat.n_probes - 1)
+        # bit for bit what the separately built ket array gave
+        probes = np.stack([coherent_fock_vector(a) for a in lat.amplitudes], axis=1)
+        q = np.abs(kets.conj().T @ probes) ** 2
+        assert np.array_equal(v, q[:, :-1] - q[:, -1:]) and np.array_equal(u, -q[:, -1])
+        # offsets are minus the ket expectation against the last probe
+        q_last = np.abs(kets.conj().T @ coherent_fock_vector(lat.amplitudes[-1])) ** 2
+        assert np.allclose(u, -q_last, rtol=0, atol=1e-14)
+        # and each row is the expectation difference for the first probe
+        q_first = np.abs(kets.conj().T @ coherent_fock_vector(lat.amplitudes[0])) ** 2
+        assert np.allclose(v[:, 0], q_first - q_last, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from dptomo.state_space_shearing import (
     LinearConstraintSet,
     ShearingConfig,
     ShearSolveError,
-    ViolationStats,
     apply_shear,
     conditional_mean_gap,
     shear_residuals,
@@ -58,12 +57,6 @@ def test_config_validation():
         ShearingConfig(p_threshold=1.5)
     with pytest.raises(ValueError):
         ShearingConfig(max_iterations=0)
-
-
-def test_violation_stats_consistency_enforced():
-    ViolationStats(x0=0.0, p=0.5)
-    with pytest.raises(ValueError):
-        ViolationStats(x0=0.0, p=0.4)
 
 
 def test_standardize_mean_deep_inside():
